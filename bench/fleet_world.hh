@@ -1,10 +1,9 @@
 /**
  * @file
- * Fleet-scale control-plane world on the sharded kernel.
+ * Fleet-scale control-plane world on the sharded region.
  *
- * Extends the storm world's shape — R racks, each with its own ToR
- * segment, seed server and machines, one ShardGroup rack per queue —
- * with the full PR-7 control stack:
+ * The storm world's racks (bench/region.hh) plus the full control
+ * stack and a shared aggregation fabric:
  *
  *  - a cloud::ControlPlane lives on rack 0's queue; its
  *    ProvisionerPort implementation (FleetPort) carries deployment
@@ -12,12 +11,9 @@
  *    and the completion notifications back, so lease admission,
  *    placement and teardown are exercised *through* the mailbox
  *    fabric rather than inline;
- *  - a shared net::Topology charges every cross-rack frame on the
- *    source rack's up-link (at hand-off, on the source shard) and
- *    the destination rack's down-link (at arrival, on the
- *    destination shard) — the split-charging contract; links model
- *    FIFO occupancy, so deployment and serving flows genuinely
- *    queue behind each other;
+ *  - every cross-rack frame is split-charged on the region's
+ *    net::Topology; links model FIFO occupancy, so deployment and
+ *    serving flows genuinely queue behind each other;
  *  - an optional cloud::CongestionController shapes each lease's
  *    deployment fetches against its rack lane (linkShare of the
  *    effective aggregation capacity), which is what keeps serving
@@ -28,37 +24,28 @@
  *    the one-way latency SLO — the paper's agility claim is that
  *    provisioning storms must not break serving tenants.
  *
- * Deployments are also deliberately cross-rack: rack r's nodes pull
- * their image from rack (r+1) % R's seed, so deployment data rides
- * up_[r+1] and down_[r] for the whole run.
- *
- * The world is a pure function of (nodes, racks, window, image,
- * seed, shaping): the shard count changes which thread executes a
- * rack and nothing else, which fingerprint() asserts.
+ * Deployments are deliberately cross-rack: rack r's nodes pull their
+ * image from rack (r+1) % R's seed, so deployment data rides up_[r+1]
+ * and down_[r] for the whole run. fingerprint() must not depend on
+ * the shard count.
  */
 
 #ifndef BENCH_FLEET_WORLD_HH
 #define BENCH_FLEET_WORLD_HH
 
-#include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "aoe/server.hh"
-#include "bench/harness.hh"
+#include "bench/region.hh"
 #include "bench/storm_world.hh"
 #include "bmcast/deployer.hh"
-#include "cloud/congestion.hh"
 #include "cloud/control_plane.hh"
 #include "guest/guest_os.hh"
 #include "hw/machine.hh"
-#include "net/network.hh"
-#include "net/topology.hh"
-#include "simcore/fault_injector.hh"
 #include "simcore/logging.hh"
-#include "simcore/shard_group.hh"
 
 namespace bench {
 
@@ -113,161 +100,56 @@ struct FleetParams
 class FleetWorld
 {
   public:
-    /** MAC scheme: 0x5254 | rack (bits 24-31) | kind (bits 20-23) |
-     *  station index. The uplink routes on the rack field alone. */
-    static net::MacAddr
-    serverMac(unsigned rack)
-    {
-        return 0x525400000001ULL + (net::MacAddr(rack) << 24);
-    }
-    static net::MacAddr
-    nodeMac(unsigned rack, unsigned i)
-    {
-        return 0x525400100000ULL + (net::MacAddr(rack) << 24) + i;
-    }
-    static net::MacAddr
-    mgmtMac(unsigned rack, unsigned i)
-    {
-        return 0x525400200000ULL + (net::MacAddr(rack) << 24) + i;
-    }
-    static net::MacAddr
-    servSrcMac(unsigned rack)
-    {
-        return 0x525400300000ULL + (net::MacAddr(rack) << 24);
-    }
-    static net::MacAddr
-    servSinkMac(unsigned rack)
-    {
-        return 0x525400300001ULL + (net::MacAddr(rack) << 24);
-    }
-    static unsigned
-    rackOfMac(net::MacAddr mac)
-    {
-        return static_cast<unsigned>((mac >> 24) & 0xFF);
-    }
-
     /** EtherType of serving-traffic frames (sink filter). */
     static constexpr std::uint16_t kServEtherType = 0x88B5;
 
     explicit FleetWorld(FleetParams p)
-        : prm(p),
-          group(sim::ShardGroup::Params{
-              p.racks, p.shards, p.uplinkLatency, 4096}),
+        : prm(p), region(p.racks, p.shards, p.uplinkLatency, p.seed),
           port_(*this)
     {
         sim::fatalIf(prm.racks == 0 || prm.nodes % prm.racks != 0,
                      "fleet nodes must stripe evenly over racks");
         sectors_ = prm.imageBytes / sim::kSectorSize;
 
-        net::TopologyConfig tc;
-        tc.racks = prm.racks;
-        tc.uplinkBps = prm.uplinkBps;
-        tc.oversubscription = prm.oversubscription;
-        topo_ = std::make_unique<net::Topology>(tc);
+        std::optional<cloud::CongestionParams> shaping;
         if (prm.shaped) {
-            cloud::CongestionParams cp;
-            cp.enabled = true;
-            cp.linkShare = prm.linkShare;
-            cp.tenantShare = prm.tenantShare;
-            congestion_ =
-                std::make_unique<cloud::CongestionController>(
-                    cp, prm.racks, topo_.get());
+            shaping.emplace();
+            shaping->enabled = true;
+            shaping->linkShare = prm.linkShare;
+            shaping->tenantShare = prm.tenantShare;
         }
+        region.buildFabric(prm.uplinkBps, prm.oversubscription, shaping);
+        // A 10G seed NIC: the aggregation fabric, not the seed port,
+        // is the scarce resource the controller manages.
+        region.buildTors(10e9, sectors_);
 
         activeDeploys_.assign(prm.racks, 0);
-        racks_.reserve(prm.racks);
+        racks_.resize(prm.racks);
+        const unsigned per_rack = prm.nodes / prm.racks;
         for (unsigned r = 0; r < prm.racks; ++r) {
-            auto rack = std::make_unique<Rack>();
-            sim::EventQueue &eq = group.rackQueue(r);
-
-            rack->net = std::make_unique<net::Network>(
-                eq, "rack" + std::to_string(r) + ".tor",
-                4 * sim::kUs,
-                sim::Rng::seedForShard("tor", prm.seed, r));
-            rack->faults =
-                std::make_unique<sim::FaultInjector>(prm.seed, r);
-            rack->net->setFaultInjector(rack->faults.get());
-
-            // A 10G seed NIC: the aggregation fabric, not the seed
-            // port, is the scarce resource the controller manages.
-            net::Port &sp = rack->net->attach(
-                serverMac(r), net::PortConfig{10e9, 9000, 0.0});
-            aoe::ServerParams spar;
-            spar.workers = 8;
-            spar.cacheHitRate = 0.9;
-            rack->server = std::make_unique<aoe::AoeServer>(
-                eq, "rack" + std::to_string(r) + ".seed", sp, spar);
-            rack->server->addTarget(0, 0, sectors_, kImageBase);
-            rack->server->setFaultInjector(rack->faults.get());
-
-            if (prm.servingInterval > 0 && prm.racks > 1) {
-                rack->servPort = &rack->net->attach(
-                    servSrcMac(r), net::PortConfig{1e9, 9000, 0.0});
-                net::Port &sink = rack->net->attach(
-                    servSinkMac(r), net::PortConfig{1e9, 9000, 0.0});
-                Rack *rk = rack.get();
-                sink.onReceive([this, rk, r](const net::Frame &f) {
-                    onServingFrame(*rk, r, f);
-                });
-            }
-
-            // Cross-rack frames: book the source rack's up-link
-            // here (source shard), ship through the mailbox, book
-            // the destination's down-link on arrival (its shard).
-            rack->net->setUplink([this, r](const net::Frame &f,
-                                           sim::Tick depart) {
-                unsigned dst = rackOfMac(f.dst);
-                if (dst >= prm.racks || dst == r)
-                    return; // not routable: drop at the spine
-                sim::Bytes wire = f.wireSize();
-                sim::Tick up = topo_->chargeUplink(r, wire, depart);
-                sim::Tick arrive = up +
-                                   topo_->config().aggHopLatency +
-                                   prm.uplinkLatency;
-                group.postToRack(r, dst, arrive, [this, dst, f,
-                                                  wire]() {
-                    Rack &rk = *racks_[dst];
-                    sim::EventQueue &q = group.rackQueue(dst);
-                    sim::Tick done =
-                        topo_->chargeDownlink(dst, wire, q.now());
-                    if (done <= q.now()) {
-                        rk.net->inject(f);
-                    } else {
-                        q.scheduleAt(done,
-                                     [net = rk.net.get(), f]() {
-                                         net->inject(f);
-                                     });
-                    }
-                });
+            Rack &rack = racks_[r];
+            rack.slots.resize(per_rack);
+            if (prm.servingInterval == 0 || prm.racks < 2)
+                continue;
+            net::Network &tor = region.tor(r);
+            rack.servPort =
+                &tor.attach(Region::mac(r, Region::kServing, 0),
+                            net::PortConfig{1e9, 9000, 0.0});
+            net::Port &sink =
+                tor.attach(Region::mac(r, Region::kServing, 1),
+                           net::PortConfig{1e9, 9000, 0.0});
+            sink.onReceive([this, r](const net::Frame &f) {
+                onServingFrame(r, f);
             });
-
-            racks_.push_back(std::move(rack));
         }
 
         // Machines: slot s lives in rack s % racks (the plane's
         // rackOfSlot contract), persistent across leases.
-        const unsigned per_rack = prm.nodes / prm.racks;
-        for (unsigned r = 0; r < prm.racks; ++r)
-            racks_[r]->slots.resize(per_rack);
         for (unsigned s = 0; s < prm.nodes; ++s) {
             unsigned r = s % prm.racks;
-            unsigned idx = s / prm.racks;
-            Rack &rack = *racks_[r];
-            sim::EventQueue &eq = group.rackQueue(r);
-
-            hw::MachineConfig mc;
-            mc.name = "rack" + std::to_string(r) + ".node" +
-                      std::to_string(idx);
-            mc.storage = hw::StorageKind::Ahci;
-            mc.disk.capacityBytes = 4 * prm.imageBytes;
-            mc.hasInfiniBand = false;
-            mc.seed = sim::Rng::seedForShard(
-                "machine" + std::to_string(s), prm.seed, r);
-            rack.slots[idx].machine = std::make_unique<hw::Machine>(
-                eq, mc, *rack.net, nodeMac(r, idx), *rack.net,
-                mgmtMac(r, idx));
-            rack.slots[idx].machine->setFaultInjector(
-                rack.faults.get());
+            racks_[r].slots[s / prm.racks].machine = region.buildNode(
+                r, s / prm.racks, "machine" + std::to_string(s),
+                4 * prm.imageBytes);
         }
 
         cloud::ControlPlaneParams cpp;
@@ -275,7 +157,7 @@ class FleetWorld
         cpp.queue.perTenantCap = prm.perTenantQueueCap;
         cpp.scrubTime = prm.scrubTime;
         plane_ = std::make_unique<cloud::ControlPlane>(
-            group.rackQueue(0), "fleet.cp", cpp, port_);
+            region.queue(0), "fleet.cp", cpp, port_);
     }
 
     /** @name Control-plane surface (rack-0 context or between runs) */
@@ -299,17 +181,12 @@ class FleetWorld
 
     void releaseLease(cloud::Lease &l) { plane_->release(l); }
     cloud::ControlPlane &plane() { return *plane_; }
-    cloud::CongestionController *congestion()
-    {
-        return congestion_.get();
-    }
-    net::Topology &topology() { return *topo_; }
     /// @}
 
     /** @name Serving traffic */
     /// @{
     /** Start every rack's serving stream (slightly desynchronized)
-     *  until @p until. Call before the first run(). */
+     *  until @p until. Call before the first run. */
     void
     startServing(sim::Tick start, sim::Tick until)
     {
@@ -317,75 +194,20 @@ class FleetWorld
             return;
         for (unsigned r = 0; r < prm.racks; ++r) {
             sim::Tick t0 = start + r * 37 * sim::kUs;
-            group.rackQueue(r).scheduleAt(
+            region.queue(r).scheduleAt(
                 t0, [this, r, until]() { servTick(r, until); });
         }
     }
 
     /** Goodput bytes (within the SLO) summed over sinks; safe to
-     *  read between run() calls — the window snapshots. */
+     *  read between runs — the window snapshots. */
     sim::Bytes
     servingGoodBytes() const
     {
         sim::Bytes b = 0;
-        for (const auto &r : racks_)
-            b += r->servGoodBytes;
+        for (const Rack &r : racks_)
+            b += r.servGoodBytes;
         return b;
-    }
-    sim::Bytes
-    servingRxBytes() const
-    {
-        sim::Bytes b = 0;
-        for (const auto &r : racks_)
-            b += r->servRxBytes;
-        return b;
-    }
-    std::uint64_t
-    servingLateFrames() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &r : racks_)
-            n += r->servLate;
-        return n;
-    }
-    sim::Tick
-    servingMaxDelay() const
-    {
-        sim::Tick d = 0;
-        for (const auto &r : racks_)
-            d = std::max(d, r->servMaxDelay);
-        return d;
-    }
-    /// @}
-
-    /** @name Driving */
-    /// @{
-    /** Advance the group to @p t in lookahead-aligned chunks. */
-    void
-    runTo(sim::Tick t, sim::Tick chunk = 250 * sim::kMs)
-    {
-        chunk -= chunk % group.window();
-        if (chunk == 0)
-            chunk = group.window();
-        t -= t % group.window();
-        while (group.committed() < t)
-            group.run(std::min(t, group.committed() + chunk));
-    }
-
-    /** Run until @p pred (checked between chunks) or @p deadline. */
-    template <typename Pred>
-    bool
-    runUntil(sim::Tick deadline, Pred &&pred,
-             sim::Tick chunk = 250 * sim::kMs)
-    {
-        chunk -= chunk % group.window();
-        if (chunk == 0)
-            chunk = group.window();
-        deadline -= deadline % group.window();
-        while (!pred() && group.committed() < deadline)
-            group.run(
-                std::min(deadline, group.committed() + chunk));
-        return pred();
     }
     /// @}
 
@@ -393,33 +215,33 @@ class FleetWorld
      * Deterministic fold of the simulated result stream: every
      * lease's recorded timeline and final state, every seed's bytes,
      * every link's occupancy counters, every sink's goodput, every
-     * rack queue's event total. Equal across shard counts by the
-     * ShardGroup contract.
+     * rack queue's event total.
      */
     std::uint64_t
     fingerprint() const
     {
         std::uint64_t h = sim::kFingerprintSeed;
+        const net::Topology &topo = region.topology();
+        const cloud::CongestionController *cc = region.congestion();
         for (unsigned r = 0; r < prm.racks; ++r) {
-            const Rack &rack = *racks_[r];
-            h = sim::fingerprintMix(h, rack.server->dataBytesOut());
-            h = sim::fingerprintMix(h, rack.net->framesForwarded());
-            h = sim::fingerprintMix(h, rack.net->framesUplinked());
+            const Rack &rack = racks_[r];
+            h = sim::fingerprintMix(
+                h, region.seedServer(r).dataBytesOut());
+            h = sim::fingerprintMix(h, region.tor(r).framesForwarded());
+            h = sim::fingerprintMix(h, region.tor(r).framesUplinked());
             h = sim::fingerprintMix(h, rack.servTx);
             h = sim::fingerprintMix(h, rack.servRxBytes);
             h = sim::fingerprintMix(h, rack.servGoodBytes);
-            h = sim::fingerprintMix(h, topo_->uplinkBytes(r));
-            h = sim::fingerprintMix(h, topo_->downlinkBytes(r));
-            h = sim::fingerprintMix(h, topo_->uplinkFrames(r));
-            h = sim::fingerprintMix(h, topo_->downlinkFrames(r));
-            if (congestion_) {
-                h = sim::fingerprintMix(
-                    h, congestion_->grantedBytes(r));
-                h = sim::fingerprintMix(
-                    h, congestion_->throttleDelay(r));
+            h = sim::fingerprintMix(h, topo.uplinkBytes(r));
+            h = sim::fingerprintMix(h, topo.downlinkBytes(r));
+            h = sim::fingerprintMix(h, topo.uplinkFrames(r));
+            h = sim::fingerprintMix(h, topo.downlinkFrames(r));
+            if (cc) {
+                h = sim::fingerprintMix(h, cc->grantedBytes(r));
+                h = sim::fingerprintMix(h, cc->throttleDelay(r));
             }
-            h = sim::fingerprintMix(h,
-                                    group.rackQueue(r).executed());
+            h = sim::fingerprintMix(
+                h, region.group.rackQueue(r).executed());
         }
         for (const auto &lp : plane_->leases()) {
             const cloud::Lease &l = *lp;
@@ -446,8 +268,10 @@ class FleetWorld
         return h;
     }
 
-    std::uint64_t totalEvents() const { return group.totalExecuted(); }
+    FleetParams prm;
+    Region region;
 
+  private:
     /** One slot: a persistent machine plus the current lease's guest
      *  and deployer (retired pairs park in the rack graveyard). */
     struct Slot
@@ -455,14 +279,10 @@ class FleetWorld
         std::unique_ptr<hw::Machine> machine;
         std::unique_ptr<guest::GuestOs> guest;
         std::unique_ptr<bmcast::BmcastDeployer> dep;
-        std::uint64_t leaseId = 0;
     };
 
     struct Rack
     {
-        std::unique_ptr<net::Network> net;
-        std::unique_ptr<sim::FaultInjector> faults;
-        std::unique_ptr<aoe::AoeServer> server;
         std::vector<Slot> slots;
         /** Halted guests/deployers of released leases: queued events
          *  may still reference them; they retire harmlessly. */
@@ -472,15 +292,8 @@ class FleetWorld
         std::uint64_t servTx = 0;
         sim::Bytes servRxBytes = 0;
         sim::Bytes servGoodBytes = 0;
-        std::uint64_t servLate = 0;
-        sim::Tick servMaxDelay = 0;
-        std::uint64_t releases = 0;
     };
 
-    FleetParams prm;
-    sim::ShardGroup group;
-
-  private:
     /** The plane's mechanism boundary: orders travel to the owning
      *  rack as cross-shard messages, completions travel back. */
     class FleetPort : public cloud::ProvisionerPort
@@ -516,32 +329,20 @@ class FleetWorld
         FleetWorld &w_;
     };
 
-    /** Ship @p cb from the plane's rack (0) to @p dstRack one
-     *  lookahead window out; same-rack orders keep the same delay so
-     *  rack 0 is not privileged. */
+    /** Plane orders and completions travel one lookahead window;
+     *  rack 0's own stay local events at the same delay, so rack 0
+     *  is not privileged. */
     template <typename F>
     void
     postFromPlane(unsigned dstRack, F &&cb)
     {
-        sim::EventQueue &q0 = group.rackQueue(0);
-        sim::Tick when = q0.now() + group.window();
-        if (dstRack == 0)
-            q0.scheduleAt(when, std::forward<F>(cb));
-        else
-            group.postToRack(0, dstRack, when, std::forward<F>(cb));
+        region.post(0, dstRack, region.window(), std::forward<F>(cb));
     }
-
-    /** Ship a completion notification back to the plane. */
     template <typename F>
     void
     postToPlane(unsigned srcRack, F &&cb)
     {
-        sim::EventQueue &q = group.rackQueue(srcRack);
-        sim::Tick when = q.now() + group.window();
-        if (srcRack == 0)
-            q.scheduleAt(when, std::forward<F>(cb));
-        else
-            group.postToRack(srcRack, 0, when, std::forward<F>(cb));
+        region.post(srcRack, 0, region.window(), std::forward<F>(cb));
     }
 
     void
@@ -576,11 +377,8 @@ class FleetWorld
                     cloud::TenantId tenant)
     {
         unsigned r = slot % prm.racks;
-        unsigned idx = slot / prm.racks;
-        Rack &rack = *racks_[r];
-        Slot &sl = rack.slots[idx];
-        sim::EventQueue &eq = group.rackQueue(r);
-        sl.leaseId = id;
+        Slot &sl = racks_[r].slots[slot / prm.racks];
+        sim::EventQueue &eq = region.queue(r);
 
         guest::GuestOsParams gp;
         gp.boot = StormWorld::stormBootTrace();
@@ -596,10 +394,10 @@ class FleetWorld
         unsigned target = (r + 1) % prm.racks;
         sl.dep = std::make_unique<bmcast::BmcastDeployer>(
             eq, sl.machine->name() + ".dep", *sl.machine, *sl.guest,
-            serverMac(target), sectors_,
+            Region::serverMac(target), sectors_,
             StormWorld::stormVmmParams(), false);
-        if (congestion_)
-            sl.dep->setRateGate(congestion_->gateFor(r, tenant));
+        if (cloud::CongestionController *cc = region.congestion())
+            sl.dep->setRateGate(cc->gateFor(r, tenant));
         sl.dep->run([this, r, id]() {
             postToPlane(r,
                         [this, id]() { plane_->noteServing(id); });
@@ -610,9 +408,8 @@ class FleetWorld
     rackStartRelease(unsigned slot, std::uint64_t id)
     {
         unsigned r = slot % prm.racks;
-        unsigned idx = slot / prm.racks;
-        Rack &rack = *racks_[r];
-        Slot &sl = rack.slots[idx];
+        Rack &rack = racks_[r];
+        Slot &sl = rack.slots[slot / prm.racks];
 
         if (sl.dep)
             sl.dep->vmm().powerOff();
@@ -624,8 +421,6 @@ class FleetWorld
             rack.oldGuests.push_back(std::move(sl.guest));
         if (sl.dep)
             rack.oldDeps.push_back(std::move(sl.dep));
-        sl.leaseId = 0;
-        ++rack.releases;
 
         postToPlane(r, [this, id]() { plane_->noteReleased(id); });
     }
@@ -633,13 +428,13 @@ class FleetWorld
     void
     servTick(unsigned r, sim::Tick until)
     {
-        Rack &rack = *racks_[r];
-        sim::EventQueue &q = group.rackQueue(r);
+        Rack &rack = racks_[r];
+        sim::EventQueue &q = region.queue(r);
         sim::Tick now = q.now();
         if (now >= until)
             return;
         net::Frame f;
-        f.dst = servSinkMac((r + 1) % prm.racks);
+        f.dst = Region::mac((r + 1) % prm.racks, Region::kServing, 1);
         f.etherType = kServEtherType;
         f.payload.resize(8);
         for (unsigned i = 0; i < 8; ++i)
@@ -653,27 +448,22 @@ class FleetWorld
     }
 
     void
-    onServingFrame(Rack &rack, unsigned r, const net::Frame &f)
+    onServingFrame(unsigned r, const net::Frame &f)
     {
         if (f.etherType != kServEtherType || f.payload.size() != 8)
             return; // segment broadcast noise, not serving traffic
         sim::Tick sent = 0;
         for (unsigned i = 0; i < 8; ++i)
             sent |= sim::Tick(f.payload[i]) << (8 * i);
-        sim::Tick delay = group.rackQueue(r).now() - sent;
+        Rack &rack = racks_[r];
         rack.servRxBytes += f.wirePayload();
-        if (delay <= prm.servingSlo)
+        if (region.queue(r).now() - sent <= prm.servingSlo)
             rack.servGoodBytes += f.wirePayload();
-        else
-            ++rack.servLate;
-        rack.servMaxDelay = std::max(rack.servMaxDelay, delay);
     }
 
     sim::Lba sectors_ = 0;
     FleetPort port_;
-    std::unique_ptr<net::Topology> topo_;
-    std::unique_ptr<cloud::CongestionController> congestion_;
-    std::vector<std::unique_ptr<Rack>> racks_;
+    std::vector<Rack> racks_;
     std::unique_ptr<cloud::ControlPlane> plane_;
     /** In-flight deployments per rack (plane-shard state, mirrors
      *  what the rack shards are doing for placement scoring). */

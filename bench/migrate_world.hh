@@ -1,26 +1,22 @@
 /**
  * @file
  * A sharded malleable-metal world: per-rack instances live-migrating
- * to the neighbor rack over a fat-tree aggregation fabric, driven by
- * deterministic dirty-write processes.
+ * to the neighbor rack over the region's aggregation fabric, driven
+ * by deterministic dirty-write processes.
  *
  * The world exists to prove the mobility machinery deterministic
- * under the PR-6 sharded kernel: R racks each run one source
- * instance (a token disk plus a MigrationManager on the rack's own
- * EventQueue) that migrates to rack (r+1) % R. Pre-copy shipments
- * book the shared net::Topology in the split-charge style of
- * bench/fleet_world.hh — the up-link on the source shard at
- * departure, the down-link on the destination shard at arrival, the
- * completion acknowledged back through the mailbox — so every
- * cross-rack byte pays the same links a deployment would, and the
- * whole schedule is a pure function of (racks, seed), never of the
- * shard count.
+ * under the sharded kernel: R racks (bench/region.hh) each run one
+ * source instance (a token disk plus a MigrationManager on the rack's
+ * own EventQueue) that migrates to rack (r+1) % R. Every pre-copy
+ * shipment is a region transfer() — split-charged, so each cross-rack
+ * byte pays the same links a deployment would — acknowledged back to
+ * the source through the mailbox. The whole schedule is a pure
+ * function of (racks, seed), never of the shard count.
  *
  * fingerprint() folds every migration's stats, every disk's content
  * runs, the write-process counters and the topology byte meters into
- * one order-sensitive hash: equal fingerprints across shard counts
- * mean equal simulated outcomes, which bench/abl_migrate gates on
- * its exit code and tests/migration_test.cc asserts directly.
+ * one order-sensitive hash, which bench/abl_migrate gates on its exit
+ * code and tests/migration_test.cc asserts directly.
  */
 
 #ifndef BENCH_MIGRATE_WORLD_HH
@@ -31,16 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "bench/region.hh"
 #include "hw/disk_store.hh"
 #include "migrate/migration.hh"
-#include "net/topology.hh"
-#include "simcore/fault_injector.hh"
 #include "simcore/logging.hh"
 #include "simcore/random.hh"
-#include "simcore/shard_group.hh"
 #include "simcore/types.hh"
 
-namespace migratebench {
+namespace bench {
 
 struct MigrateWorldParams
 {
@@ -74,68 +68,50 @@ class MigrateWorld
 {
   public:
     explicit MigrateWorld(MigrateWorldParams p)
-        : prm(p),
-          group(sim::ShardGroup::Params{p.racks, p.shards,
-                                        p.uplinkLatency, 4096})
+        : prm(p), region(p.racks, p.shards, p.uplinkLatency, p.seed),
+          racks_(p.racks)
     {
         sim::fatalIf(prm.racks == 0, "migrate world needs racks");
         sectors_ = prm.imageBytes / sim::kSectorSize;
+        region.buildFabric(prm.uplinkBps, prm.oversubscription);
 
-        net::TopologyConfig tc;
-        tc.racks = prm.racks;
-        tc.uplinkBps = prm.uplinkBps;
-        tc.oversubscription = prm.oversubscription;
-        topo_ = std::make_unique<net::Topology>(tc);
-
-        racks_.reserve(prm.racks);
         for (unsigned r = 0; r < prm.racks; ++r) {
-            auto rack = std::make_unique<Rack>();
-            sim::EventQueue &eq = group.rackQueue(r);
-
-            rack->faults =
-                std::make_unique<sim::FaultInjector>(prm.seed, r);
+            Rack &rk = racks_[r];
+            sim::FaultInjector &fi = region.faults(r);
             if (armed(prm.streamDrop))
-                rack->faults->arm(sim::FaultSite::MigrateStreamDrop,
-                                  prm.streamDrop);
+                fi.arm(sim::FaultSite::MigrateStreamDrop,
+                       prm.streamDrop);
             if (armed(prm.destCrash))
-                rack->faults->arm(sim::FaultSite::MigrateDestCrash,
-                                  prm.destCrash);
+                fi.arm(sim::FaultSite::MigrateDestCrash,
+                       prm.destCrash);
 
             // The source instance's disk starts as a freshly landed
             // image; the write process dirties it from tick 0.
-            rack->disk.write(0, sectors_, imageBase(r));
-            rack->mgr = std::make_unique<migrate::MigrationManager>(
-                eq, "rack" + std::to_string(r) + ".mig", prm.migrate,
-                sectors_);
-            rack->mgr->setFaultInjector(rack->faults.get());
-            rack->wrRng = sim::Rng(
-                sim::Rng::seedForShard("migw", prm.seed, r));
-
-            racks_.push_back(std::move(rack));
+            rk.disk.write(0, sectors_, imageBase(r));
+            rk.mgr = std::make_unique<migrate::MigrationManager>(
+                region.queue(r), "rack" + std::to_string(r) + ".mig",
+                prm.migrate, sectors_);
+            rk.mgr->setFaultInjector(&fi);
+            rk.wrRng =
+                sim::Rng(sim::Rng::seedForShard("migw", prm.seed, r));
         }
 
         for (unsigned r = 0; r < prm.racks; ++r) {
             armWriter(r);
-            group.rackQueue(r).scheduleAt(
+            region.queue(r).scheduleAt(
                 prm.migrateAt, [this, r]() { startMigration(r); });
         }
     }
 
-    /** Drive to runFor (window-aligned), chunked. */
-    void
-    run()
-    {
-        const sim::Tick w = group.window();
-        sim::Tick until = ((prm.runFor + w - 1) / w) * w;
-        group.run(until);
-    }
+    /** Drive to runFor (window-aligned). */
+    void run() { region.runTo(prm.runFor); }
 
     unsigned
     migrationsDone() const
     {
         unsigned n = 0;
-        for (const auto &rk : racks_)
-            n += rk->mgr->phase() ==
+        for (const Rack &rk : racks_)
+            n += rk.mgr->phase() ==
                  migrate::MigrationManager::Phase::Done;
         return n;
     }
@@ -143,40 +119,27 @@ class MigrateWorld
     migrationsAborted() const
     {
         unsigned n = 0;
-        for (const auto &rk : racks_)
-            n += rk->mgr->stats().aborted;
-        return n;
-    }
-    std::uint64_t
-    faultTriggers(sim::FaultSite site) const
-    {
-        std::uint64_t n = 0;
-        for (const auto &rk : racks_)
-            n += rk->faults->triggers(site);
+        for (const Rack &rk : racks_)
+            n += rk.mgr->stats().aborted;
         return n;
     }
     const migrate::MigrateStats &
     stats(unsigned rack) const
     {
-        return racks_.at(rack)->mgr->stats();
+        return racks_.at(rack).mgr->stats();
     }
     /** The migrated replica rack @p r received from its neighbor. */
     const hw::DiskStore &
     destDisk(unsigned r) const
     {
-        return racks_.at(r)->destDisk;
+        return racks_.at(r).destDisk;
     }
     const hw::DiskStore &
     sourceDisk(unsigned r) const
     {
-        return racks_.at(r)->disk;
+        return racks_.at(r).disk;
     }
     sim::Lba sectors() const { return sectors_; }
-    std::uint64_t
-    totalExecuted() const
-    {
-        return group.totalExecuted();
-    }
 
     /** Order-sensitive digest of every simulated outcome. */
     std::uint64_t
@@ -184,7 +147,7 @@ class MigrateWorld
     {
         std::uint64_t h = sim::kFingerprintSeed;
         for (unsigned r = 0; r < prm.racks; ++r) {
-            const Rack &rk = *racks_[r];
+            const Rack &rk = racks_[r];
             const migrate::MigrateStats &st = rk.mgr->stats();
             h = sim::fingerprintMix(h, st.rounds);
             h = sim::fingerprintMix(h, st.bytesShipped);
@@ -202,20 +165,20 @@ class MigrateWorld
             h = sim::fingerprintMix(h, rk.sectorsWritten);
             h = foldDisk(h, rk.disk);
             h = foldDisk(h, rk.destDisk);
-            h = sim::fingerprintMix(h, topo_->uplinkBytes(r));
-            h = sim::fingerprintMix(h, topo_->downlinkBytes(r));
+            h = sim::fingerprintMix(h, region.topology().uplinkBytes(r));
+            h = sim::fingerprintMix(h,
+                                    region.topology().downlinkBytes(r));
+            const sim::FaultInjector &fi = region.faults(r);
             h = sim::fingerprintMix(
-                h, rk.faults->triggers(
-                       sim::FaultSite::MigrateStreamDrop));
+                h, fi.triggers(sim::FaultSite::MigrateStreamDrop));
             h = sim::fingerprintMix(
-                h, rk.faults->triggers(
-                       sim::FaultSite::MigrateDestCrash));
+                h, fi.triggers(sim::FaultSite::MigrateDestCrash));
         }
         return h;
     }
 
     const MigrateWorldParams prm;
-    sim::ShardGroup group;
+    Region region;
 
   private:
     struct Rack
@@ -223,7 +186,6 @@ class MigrateWorld
         hw::DiskStore disk;     //!< the source instance's local disk
         hw::DiskStore destDisk; //!< replica arriving from rack r-1
         std::unique_ptr<migrate::MigrationManager> mgr;
-        std::unique_ptr<sim::FaultInjector> faults;
         sim::Rng wrRng{0};
         std::uint64_t writes = 0;
         std::uint64_t sectorsWritten = 0;
@@ -262,8 +224,8 @@ class MigrateWorld
     void
     armWriter(unsigned r)
     {
-        group.rackQueue(r).schedule(prm.writeInterval, [this, r]() {
-            Rack &rk = *racks_[r];
+        region.queue(r).schedule(prm.writeInterval, [this, r]() {
+            Rack &rk = racks_[r];
             using Phase = migrate::MigrationManager::Phase;
             if (rk.mgr->phase() == Phase::Done)
                 return; // instance left this rack
@@ -289,7 +251,6 @@ class MigrateWorld
     void
     startMigration(unsigned r)
     {
-        Rack &rk = *racks_[r];
         const unsigned dst = (r + 1) % prm.racks;
 
         migrate::MigrationManager::Hooks hooks;
@@ -297,33 +258,28 @@ class MigrateWorld
         // has no VMM, the tracker is live from tick 0 (equivalent to
         // seeding with the pre-migration dirty set).
         hooks.revirt = [this, r](std::function<void()> done) {
-            group.rackQueue(r).schedule(sim::kMs, std::move(done));
+            region.queue(r).schedule(sim::kMs, std::move(done));
         };
 
         hooks.ship = [this, r, dst](sim::Bytes bytes,
                                     std::function<void()> done) {
-            sim::EventQueue &q = group.rackQueue(r);
-            sim::Tick up = topo_->chargeUplink(r, bytes, q.now());
-            sim::Tick arrive = up + topo_->config().aggHopLatency +
-                               prm.uplinkLatency;
+            sim::EventQueue &q = region.queue(r);
             if (prm.racks == 1) {
-                // Single-rack world: no fabric to cross.
-                q.scheduleAt(arrive, std::move(done));
+                // Single-rack world: the up-link still books, but
+                // there is no fabric to cross.
+                q.scheduleAt(region.departUplink(r, bytes, q.now()),
+                             std::move(done));
                 return;
             }
-            group.postToRack(
-                r, dst, arrive,
-                [this, r, dst, bytes,
-                 done = std::move(done)]() mutable {
-                    sim::EventQueue &dq = group.rackQueue(dst);
-                    sim::Tick clear = topo_->chargeDownlink(
-                        dst, bytes, dq.now());
-                    if (clear < dq.now())
-                        clear = dq.now();
-                    // Acknowledge back to the source shard.
-                    group.postToRack(dst, r,
-                                     clear + prm.uplinkLatency,
-                                     std::move(done));
+            // Acknowledge back to the source shard once the replica
+            // rack's down-link clears.
+            region.transfer(
+                r, dst, bytes, q.now(),
+                [this, r, dst,
+                 done = std::move(done)](sim::Tick clear) mutable {
+                    region.group.postToRack(dst, r,
+                                            clear + region.window(),
+                                            std::move(done));
                 });
         };
 
@@ -331,7 +287,7 @@ class MigrateWorld
             // Apply the byte-identical replica on the destination
             // rack: snapshot by value, apply on its shard.
             std::vector<migrate::DirtyRun> runs;
-            racks_[r]->disk.forEachBase(
+            racks_[r].disk.forEachBase(
                 0, sectors_,
                 [&runs](sim::Lba lba, std::uint64_t count,
                         std::uint64_t base) {
@@ -340,29 +296,26 @@ class MigrateWorld
                 });
             if (prm.racks == 1) {
                 for (const auto &dr : runs)
-                    racks_[r]->destDisk.write(dr.lba, dr.count,
-                                              dr.base);
+                    racks_[r].destDisk.write(dr.lba, dr.count,
+                                             dr.base);
             } else {
-                sim::EventQueue &q = group.rackQueue(r);
-                group.postToRack(
-                    r, dst, q.now() + prm.uplinkLatency,
-                    [this, dst, runs = std::move(runs)]() {
-                        for (const auto &dr : runs)
-                            racks_[dst]->destDisk.write(
-                                dr.lba, dr.count, dr.base);
-                    });
+                region.post(r, dst, region.window(),
+                            [this, dst, runs = std::move(runs)]() {
+                                for (const auto &dr : runs)
+                                    racks_[dst].destDisk.write(
+                                        dr.lba, dr.count, dr.base);
+                            });
             }
             done();
         };
 
-        rk.mgr->start(std::move(hooks));
+        racks_[r].mgr->start(std::move(hooks));
     }
 
     sim::Lba sectors_ = 0;
-    std::unique_ptr<net::Topology> topo_;
-    std::vector<std::unique_ptr<Rack>> racks_;
+    std::vector<Rack> racks_;
 };
 
-} // namespace migratebench
+} // namespace bench
 
 #endif // BENCH_MIGRATE_WORLD_HH

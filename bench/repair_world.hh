@@ -17,39 +17,35 @@
  * posts a death notice to rack 0 — the mailbox-delivered equivalent
  * of the health-probe edge store::RepairScheduler detects in-region.
  * The dispatcher asks the ec::Code for one repair plan per lost
- * member and executes it cross-rack in the split-charge style of
- * bench/migrate_world.hh: each fetch step books the *source* rack's
- * scavenger lane (cloud::CongestionController) and uplink, crosses
- * the fabric, pays the destination downlink, and acknowledges back
- * to rack 0; the job completes after the plan's combine cost and
- * re-homes the member onto the destination rack. Serving traffic
- * rides the same uplinks through the serving lane, so repair
- * pressure shows up in serving completion times exactly as far as
- * the scavenger share lets it.
+ * member and executes it cross-rack on the region (bench/region.hh):
+ * each fetch step books the *source* rack's scavenger lane, travels
+ * as a split-charged transfer() to the destination rack, and is
+ * acknowledged back to rack 0; the job completes after the plan's
+ * combine cost and re-homes the member onto the destination rack.
+ * Serving traffic rides the same uplinks through the serving lane,
+ * so repair pressure shows up in serving completion times exactly as
+ * far as the scavenger share lets it.
  *
  * fingerprint() folds the dispatcher's job stream, every rack's
  * serving counters, the topology byte meters and the congestion
- * telemetry into one order-sensitive hash: equal fingerprints across
- * shard counts mean equal simulated outcomes.
+ * telemetry into one order-sensitive hash.
  */
 
 #ifndef BENCH_REPAIR_WORLD_HH
 #define BENCH_REPAIR_WORLD_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
-#include "cloud/congestion.hh"
-#include "net/topology.hh"
+#include "bench/region.hh"
 #include "simcore/logging.hh"
-#include "simcore/shard_group.hh"
 #include "simcore/types.hh"
 #include "store/ec/code.hh"
 
-namespace repairbench {
+namespace bench {
 
 struct RepairWorldParams
 {
@@ -103,12 +99,12 @@ class RepairWorld
   public:
     explicit RepairWorld(RepairWorldParams p)
         : prm(p),
+          region(p.racks, p.shards, p.linkLatency, p.seed),
           code_(store::ec::makeCode(
               p.code, store::ec::CodeParams{p.dataShards,
                                             p.parityShards,
                                             p.lrcGroups})),
-          group(sim::ShardGroup::Params{p.racks, p.shards,
-                                        p.linkLatency, 4096})
+          racks_(p.racks)
     {
         sim::fatalIf(code_->width() > prm.racks,
                      "repair world: stripe wider than the rack row");
@@ -116,19 +112,13 @@ class RepairWorld
             static_cast<std::uint32_t>(prm.chunkBytes /
                                        sim::kSectorSize);
 
-        net::TopologyConfig tc;
-        tc.racks = prm.racks;
-        tc.uplinkBps = prm.uplinkBps;
-        tc.oversubscription = prm.oversubscription;
-        topo_ = std::make_unique<net::Topology>(tc);
-
         cloud::CongestionParams cp;
         cp.enabled = true;
         cp.linkShare = 1.0 - prm.servingShare - prm.scavengerShare;
         cp.servingShare = prm.servingShare;
         cp.scavengerShare = prm.scavengerShare;
-        congestion_ = std::make_unique<cloud::CongestionController>(
-            cp, prm.racks, topo_.get());
+        region.buildFabric(prm.uplinkBps, prm.oversubscription, cp);
+        congestion_ = region.congestion();
 
         memberRack_.assign(prm.chunks,
                            std::vector<unsigned>(code_->width(), 0));
@@ -137,9 +127,6 @@ class RepairWorld
                 memberRack_[c][i] = (c + i) % prm.racks;
         liveRack_.assign(prm.racks, true);
 
-        racks_.reserve(prm.racks);
-        for (unsigned r = 0; r < prm.racks; ++r)
-            racks_.push_back(std::make_unique<Rack>());
         for (unsigned r = 0; r < prm.racks; ++r)
             armServing(r);
 
@@ -147,27 +134,19 @@ class RepairWorld
             const auto kr = static_cast<unsigned>(prm.killRack);
             sim::fatalIf(kr >= prm.racks,
                          "repair world: kill rack out of range");
-            group.rackQueue(kr).scheduleAt(prm.killAt, [this, kr]() {
-                racks_[kr]->dead = true;
+            region.queue(kr).scheduleAt(prm.killAt, [this, kr]() {
+                racks_[kr].dead = true;
                 // The death notice: what the in-region health probe
                 // would deliver, one mailbox hop later.
-                group.postToRack(
-                    kr, 0,
-                    group.rackQueue(kr).now() + group.window() +
-                        prm.linkLatency,
-                    [this, kr]() { noteRackDead(kr); });
+                region.post(kr, 0, noticeDelay(),
+                            [this, kr]() { noteRackDead(kr); },
+                            Region::SameRack::Mailbox);
             });
         }
     }
 
-    /** Drive to runFor (window-aligned), chunked. */
-    void
-    run()
-    {
-        const sim::Tick w = group.window();
-        sim::Tick until = ((prm.runFor + w - 1) / w) * w;
-        group.run(until);
-    }
+    /** Drive to runFor (window-aligned). */
+    void run() { region.runTo(prm.runFor); }
 
     /** Every stripe member sits in a live rack. */
     bool
@@ -190,13 +169,8 @@ class RepairWorld
         sim::Bytes b = 0;
         for (unsigned r = 0; r < prm.racks; ++r)
             if (static_cast<int>(r) != excludeRack)
-                b += racks_[r]->servedBytes;
+                b += racks_[r].servedBytes;
         return b;
-    }
-    std::uint64_t
-    totalExecuted() const
-    {
-        return group.totalExecuted();
     }
 
     /** Order-sensitive digest of every simulated outcome. */
@@ -210,13 +184,14 @@ class RepairWorld
         h = sim::fingerprintMix(h, stats_.repairedBytes);
         h = sim::fingerprintMix(h, stats_.dataRepairedBytes);
         h = sim::fingerprintMix(h, stats_.lastRepairDone);
+        const net::Topology &topo = region.topology();
         for (unsigned r = 0; r < prm.racks; ++r) {
-            const Rack &rk = *racks_[r];
+            const Rack &rk = racks_[r];
             h = sim::fingerprintMix(h, rk.servedBursts);
             h = sim::fingerprintMix(h, rk.servedBytes);
             h = sim::fingerprintMix(h, rk.dead);
-            h = sim::fingerprintMix(h, topo_->uplinkBytes(r));
-            h = sim::fingerprintMix(h, topo_->downlinkBytes(r));
+            h = sim::fingerprintMix(h, topo.uplinkBytes(r));
+            h = sim::fingerprintMix(h, topo.downlinkBytes(r));
             h = sim::fingerprintMix(h, congestion_->servingBytes(r));
             h = sim::fingerprintMix(h,
                                     congestion_->scavengerBytes(r));
@@ -230,6 +205,7 @@ class RepairWorld
     }
 
     const RepairWorldParams prm;
+    Region region;
 
   private:
     struct Rack
@@ -249,6 +225,10 @@ class RepairWorld
         sim::Tick combine = 0;
         bool dead = false; //!< nacked; superseded by a re-plan
     };
+
+    /** Dispatcher orders and notices: one window of dispatch plus
+     *  one link latency, always through the mailbox. */
+    sim::Tick noticeDelay() const { return 2 * region.window(); }
 
     static net::MacAddr
     memberMac(unsigned chunk, unsigned member)
@@ -333,62 +313,43 @@ class RepairWorld
         }
     }
 
-    /** One plan fetch: rack 0 -> source rack (scavenger admit +
-     *  uplink) -> dest rack (downlink) -> ack back to rack 0. */
+    /** One plan fetch: rack 0 -> source rack (scavenger admit) ->
+     *  transfer to the dest rack -> ack back to rack 0. */
     void
     dispatchFetch(std::shared_ptr<Job> job, unsigned srcRack,
                   sim::Bytes bytes)
     {
-        sim::EventQueue &dq = group.rackQueue(0);
-        group.postToRack(
-            0, srcRack, dq.now() + group.window() + prm.linkLatency,
+        region.post(
+            0, srcRack, noticeDelay(),
             [this, job, srcRack, bytes]() {
-                sim::EventQueue &sq = group.rackQueue(srcRack);
-                if (racks_[srcRack]->dead) {
+                sim::EventQueue &sq = region.queue(srcRack);
+                if (racks_[srcRack].dead) {
                     // Source died under the plan: nack so the
                     // dispatcher re-plans from the survivors.
-                    group.postToRack(
-                        srcRack, 0,
-                        sq.now() + group.window() + prm.linkLatency,
-                        [this, job]() { nackJob(job); });
+                    region.post(srcRack, 0, noticeDelay(),
+                                [this, job]() { nackJob(job); },
+                                Region::SameRack::Mailbox);
                     return;
                 }
                 sim::Tick at = congestion_->admitScavenger(
                     srcRack, 0, bytes, sq.now());
-                sq.scheduleAt(
-                    std::max(at, sq.now()),
-                    [this, job, srcRack, bytes]() {
-                        sim::EventQueue &q = group.rackQueue(srcRack);
-                        sim::Tick up = topo_->chargeUplink(
-                            srcRack, bytes, q.now());
-                        sim::Tick arrive =
-                            std::max(up +
-                                         topo_->config().aggHopLatency,
-                                     q.now()) +
-                            prm.linkLatency;
-                        relayToDest(job, srcRack, bytes, arrive);
-                    });
-            });
-    }
-
-    void
-    relayToDest(std::shared_ptr<Job> job, unsigned srcRack,
-                sim::Bytes bytes, sim::Tick arrive)
-    {
-        group.postToRack(
-            srcRack, job->destRack, arrive,
-            [this, job, bytes]() {
-                sim::EventQueue &dq = group.rackQueue(job->destRack);
-                sim::Tick clear = std::max(
-                    topo_->chargeDownlink(job->destRack, bytes,
-                                          dq.now()),
-                    dq.now());
-                group.postToRack(job->destRack, 0,
-                                 clear + prm.linkLatency,
-                                 [this, job, bytes]() {
-                                     stepDone(job, bytes);
-                                 });
-            });
+                sq.scheduleAt(std::max(at, sq.now()), [this, job,
+                                                       srcRack,
+                                                       bytes]() {
+                    const unsigned dst = job->destRack;
+                    region.transfer(
+                        srcRack, dst, bytes,
+                        region.queue(srcRack).now(),
+                        [this, job, dst, bytes](sim::Tick clear) {
+                            region.group.postToRack(
+                                dst, 0, clear + region.window(),
+                                [this, job, bytes]() {
+                                    stepDone(job, bytes);
+                                });
+                        });
+                });
+            },
+            Region::SameRack::Mailbox);
     }
 
     /** Dispatcher: one fetch landed; the last one completes the job
@@ -401,7 +362,7 @@ class RepairWorld
         jobBytes_[job.get()] += bytes;
         if (--job->stepsLeft > 0)
             return;
-        group.rackQueue(0).schedule(job->combine, [this, job]() {
+        region.queue(0).schedule(job->combine, [this, job]() {
             if (job->dead)
                 return;
             memberRack_[job->chunk][job->member] = job->destRack;
@@ -411,7 +372,7 @@ class RepairWorld
             stats_.repairedBytes += total;
             if (job->member < code_->dataShards())
                 stats_.dataRepairedBytes += total;
-            stats_.lastRepairDone = group.rackQueue(0).now();
+            stats_.lastRepairDone = region.queue(0).now();
         });
     }
 
@@ -434,40 +395,29 @@ class RepairWorld
     void
     armServing(unsigned r)
     {
-        group.rackQueue(r).schedule(prm.servingInterval, [this, r]() {
-            Rack &rk = *racks_[r];
-            if (rk.dead)
+        region.queue(r).schedule(prm.servingInterval, [this, r]() {
+            if (racks_[r].dead)
                 return;
-            sim::EventQueue &q = group.rackQueue(r);
+            sim::EventQueue &q = region.queue(r);
             sim::Tick at = congestion_->admitServing(
                 r, 0, prm.servingBurst, q.now());
-            q.scheduleAt(
-                std::max(at, q.now()), [this, r]() {
-                    sim::EventQueue &q2 = group.rackQueue(r);
-                    sim::Tick clear = topo_->chargeUplink(
-                        r, prm.servingBurst, q2.now());
-                    q2.scheduleAt(std::max(clear, q2.now()),
-                                  [this, r]() {
-                                      Rack &rk2 = *racks_[r];
-                                      ++rk2.servedBursts;
-                                      rk2.servedBytes +=
-                                          prm.servingBurst;
-                                  });
+            q.scheduleAt(std::max(at, q.now()), [this, r]() {
+                sim::EventQueue &q2 = region.queue(r);
+                sim::Tick clear = region.topology().chargeUplink(
+                    r, prm.servingBurst, q2.now());
+                q2.scheduleAt(std::max(clear, q2.now()), [this, r]() {
+                    ++racks_[r].servedBursts;
+                    racks_[r].servedBytes += prm.servingBurst;
                 });
+            });
             armServing(r);
         });
     }
 
     std::shared_ptr<const store::ec::Code> code_;
-
-  public:
-    sim::ShardGroup group;
-
-  private:
     std::uint32_t chunkSectors_ = 0;
-    std::unique_ptr<net::Topology> topo_;
-    std::unique_ptr<cloud::CongestionController> congestion_;
-    std::vector<std::unique_ptr<Rack>> racks_;
+    cloud::CongestionController *congestion_ = nullptr;
+    std::vector<Rack> racks_;
 
     /** @name Dispatcher state — rack 0's shard only. */
     /// @{
@@ -478,6 +428,6 @@ class RepairWorld
     /// @}
 };
 
-} // namespace repairbench
+} // namespace bench
 
 #endif // BENCH_REPAIR_WORLD_HH

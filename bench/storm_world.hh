@@ -1,29 +1,19 @@
 /**
  * @file
- * A datacenter-scale deploy-storm world on the sharded kernel.
+ * A datacenter-scale deploy storm on the sharded region.
  *
- * Topology: R racks, each with its own ToR Ethernet segment
- * (net::Network), its own AoE seed server exporting the golden
- * image, its own sim::FaultInjector (per-rack counter-mode streams),
- * and nodes/R machines running the full BMcast pipeline (VMM, AoE
- * initiator, guest boot, background copy, devirtualization). Each
- * rack lives on its own sim::ShardGroup EventQueue; rack segments
- * are joined by inter-rack uplinks whose latency equals the group's
- * conservative lookahead window, routed through the bounded SPSC
- * mailboxes (net::Network::setUplink -> ShardGroup::postToRack ->
- * net::Network::inject on the destination shard).
+ * R racks (bench/region.hh: ToR segment, seed server and fault
+ * stream per rack, no aggregation fabric), with nodes/R machines per
+ * rack running the full BMcast pipeline — VMM, AoE initiator, guest
+ * boot, background copy, devirtualization. Most nodes deploy from
+ * their rack-local seed; every remoteEvery-th node deploys from the
+ * *next* rack's seed, so real AoE requests and data responses cross
+ * shard boundaries both ways for the whole run.
  *
- * Most nodes deploy from their rack-local seed; every remoteEvery-th
- * node deploys from the *next* rack's seed, so real AoE traffic —
- * requests and data responses — crosses shard boundaries both ways
- * for the whole run.
- *
- * The world is a pure function of (nodes, racks, window, image,
- * seed): the shard count changes which thread executes a rack and
- * nothing else, which is what fingerprint() asserts across shard
- * counts. With racks = 1 there are no channels and the group is the
- * serial kernel (abl_storm checks that too, against a plain
- * EventQueue build of the same single-segment world).
+ * fingerprint() must not depend on the shard count (abl_storm gates
+ * it). With racks = 1 there are no channels and the group is the
+ * serial kernel; abl_storm checks that against a plain EventQueue
+ * drive of the same single-segment world.
  */
 
 #ifndef BENCH_STORM_WORLD_HH
@@ -33,14 +23,11 @@
 #include <string>
 #include <vector>
 
-#include "aoe/server.hh"
 #include "bench/harness.hh"
+#include "bench/region.hh"
 #include "bmcast/deployer.hh"
 #include "guest/guest_os.hh"
 #include "hw/machine.hh"
-#include "net/network.hh"
-#include "simcore/fault_injector.hh"
-#include "simcore/shard_group.hh"
 
 namespace bench {
 
@@ -63,107 +50,32 @@ struct StormParams
 class StormWorld
 {
   public:
-    /** MAC scheme: 0x5254 | rack (bits 24-31) | kind (bits 20-23) |
-     *  station index (bits 0-19). The uplink routes on the rack
-     *  field alone. */
-    static net::MacAddr
-    serverMac(unsigned rack)
-    {
-        return 0x525400000001ULL + (net::MacAddr(rack) << 24);
-    }
-    static net::MacAddr
-    nodeMac(unsigned rack, unsigned i)
-    {
-        return 0x525400100000ULL + (net::MacAddr(rack) << 24) + i;
-    }
-    static net::MacAddr
-    mgmtMac(unsigned rack, unsigned i)
-    {
-        return 0x525400200000ULL + (net::MacAddr(rack) << 24) + i;
-    }
-    static unsigned
-    rackOfMac(net::MacAddr mac)
-    {
-        return static_cast<unsigned>((mac >> 24) & 0xFF);
-    }
-
     explicit StormWorld(StormParams p)
-        : prm(p),
-          group(sim::ShardGroup::Params{
-              p.racks, p.shards, p.uplinkLatency, 4096})
+        : prm(p), region(p.racks, p.shards, p.uplinkLatency, p.seed),
+          racks_(p.racks)
     {
         const sim::Lba sectors = prm.imageBytes / sim::kSectorSize;
-        racks_.reserve(prm.racks);
-        for (unsigned r = 0; r < prm.racks; ++r) {
-            auto rack = std::make_unique<Rack>();
-            sim::EventQueue &eq = group.rackQueue(r);
-
-            rack->net = std::make_unique<net::Network>(
-                eq, "rack" + std::to_string(r) + ".tor",
-                4 * sim::kUs,
-                sim::Rng::seedForShard("tor", prm.seed, r));
-            rack->faults = std::make_unique<sim::FaultInjector>(
-                prm.seed, r);
-            rack->net->setFaultInjector(rack->faults.get());
-
-            net::Port &sp = rack->net->attach(
-                serverMac(r), net::PortConfig{1e9, 9000, 0.0});
-            aoe::ServerParams spar;
-            spar.workers = 8;
-            spar.cacheHitRate = 0.9;
-            rack->server = std::make_unique<aoe::AoeServer>(
-                eq, "rack" + std::to_string(r) + ".seed", sp, spar);
-            rack->server->addTarget(0, 0, sectors, kImageBase);
-            rack->server->setFaultInjector(rack->faults.get());
-
-            // Frames for MACs outside this segment cross the
-            // inter-rack link: one lookahead window of latency,
-            // delivered through the destination rack's mailbox and
-            // re-injected into its ToR segment on its own shard.
-            rack->net->setUplink(
-                [this, r](const net::Frame &f, sim::Tick depart) {
-                    unsigned dst = rackOfMac(f.dst);
-                    if (dst >= prm.racks || dst == r)
-                        return; // not routable: drop at the spine
-                    group.postToRack(
-                        r, dst, depart + prm.uplinkLatency,
-                        [net = racks_[dst]->net.get(), f]() {
-                            net->inject(f);
-                        });
-                });
-
-            racks_.push_back(std::move(rack));
-        }
+        region.buildTors(1e9, sectors);
 
         // Machines, guests, deployers — round-robin across racks so
         // the storm lands rack-aware, like Cloud placement.
         for (unsigned i = 0; i < prm.nodes; ++i) {
             unsigned r = i % prm.racks;
-            Rack &rack = *racks_[r];
-            sim::EventQueue &eq = group.rackQueue(r);
-            unsigned slot =
-                static_cast<unsigned>(rack.machines.size());
+            Rack &rack = racks_[r];
+            sim::EventQueue &eq = region.queue(r);
+            auto slot = static_cast<unsigned>(rack.machines.size());
 
-            hw::MachineConfig mc;
-            mc.name = "rack" + std::to_string(r) + ".node" +
-                      std::to_string(slot);
-            mc.storage = hw::StorageKind::Ahci;
-            mc.disk.capacityBytes = 4 * prm.imageBytes;
-            mc.hasInfiniBand = false;
-            mc.seed = sim::Rng::seedForShard(
-                "machine" + std::to_string(slot), prm.seed, r);
-            rack.machines.push_back(std::make_unique<hw::Machine>(
-                eq, mc, *rack.net, nodeMac(r, slot), *rack.net,
-                mgmtMac(r, slot)));
-            rack.machines.back()->setFaultInjector(
-                rack.faults.get());
+            rack.machines.push_back(region.buildNode(
+                r, slot, "machine" + std::to_string(slot),
+                4 * prm.imageBytes));
+            hw::Machine &m = *rack.machines.back();
 
             guest::GuestOsParams gp;
             gp.boot = stormBootTrace();
             gp.seed = sim::Rng::seedForShard(
                 "guest" + std::to_string(slot), prm.seed, r);
             rack.guests.push_back(std::make_unique<guest::GuestOs>(
-                eq, mc.name + ".guest", *rack.machines.back(), gp));
+                eq, m.name() + ".guest", m, gp));
 
             // Cross-rack deployments exercise the mailbox path with
             // real AoE request/response streams.
@@ -173,9 +85,9 @@ class StormWorld
                 target_rack = (r + 1) % prm.racks;
             rack.deps.push_back(
                 std::make_unique<bmcast::BmcastDeployer>(
-                    eq, mc.name + ".dep", *rack.machines.back(),
-                    *rack.guests.back(), serverMac(target_rack),
-                    sectors, stormVmmParams(), false));
+                    eq, m.name() + ".dep", m, *rack.guests.back(),
+                    Region::serverMac(target_rack), sectors,
+                    stormVmmParams(), false));
         }
     }
 
@@ -184,7 +96,7 @@ class StormWorld
     deployAll()
     {
         for (unsigned r = 0; r < prm.racks; ++r) {
-            Rack &rack = *racks_[r];
+            Rack &rack = racks_[r];
             for (std::size_t i = 0; i < rack.deps.size(); ++i) {
                 // Global arrival order interleaves racks the way
                 // round-robin placement filled them.
@@ -192,9 +104,9 @@ class StormWorld
                     (i * prm.racks + r) * prm.stagger + 1;
                 bmcast::BmcastDeployer *dep = rack.deps[i].get();
                 Rack *rk = &rack;
-                group.rackQueue(r).scheduleAt(at, [dep, rk]() {
+                region.queue(r).scheduleAt(at, [dep, rk]() {
                     dep->onBareMetal([rk]() { ++rk->done; });
-                    dep->run([rk]() { ++rk->serving; });
+                    dep->run([]() {});
                 });
             }
         }
@@ -203,43 +115,24 @@ class StormWorld
     bool
     allDone() const
     {
-        for (const auto &rack : racks_)
-            if (rack->done != rack->deps.size())
+        for (const Rack &rack : racks_)
+            if (rack.done != rack.deps.size())
                 return false;
         return true;
-    }
-
-    /**
-     * Drive the group in lookahead-aligned chunks until every
-     * deployment reached bare metal (or @p deadline). Chunk size is
-     * part of neither the model nor the result stream — any chunking
-     * lands the same drain grid.
-     */
-    bool
-    runToCompletion(sim::Tick deadline, sim::Tick chunk = sim::kSec)
-    {
-        chunk -= chunk % group.window();
-        if (chunk == 0)
-            chunk = group.window();
-        while (!allDone() && group.committed() < deadline)
-            group.run(group.committed() + chunk);
-        return allDone();
     }
 
     /**
      * Deterministic fold of the simulated result stream, in rack
      * order: every deployment's timeline ticks, every seed server's
      * bytes shipped, every segment's forwarding counts, every rack
-     * queue's event totals. Equal across shard counts by the
-     * ShardGroup contract.
+     * queue's event totals.
      */
     std::uint64_t
     fingerprint() const
     {
         std::uint64_t h = sim::kFingerprintSeed;
         for (unsigned r = 0; r < prm.racks; ++r) {
-            const Rack &rack = *racks_[r];
-            for (const auto &dep : rack.deps) {
+            for (const auto &dep : racks_[r].deps) {
                 const auto &tl = dep->timeline();
                 h = sim::fingerprintMix(h, tl.powerOn);
                 h = sim::fingerprintMix(h, tl.vmmReady);
@@ -247,12 +140,12 @@ class StormWorld
                 h = sim::fingerprintMix(h, tl.copyComplete);
                 h = sim::fingerprintMix(h, tl.bareMetal);
             }
-            h = sim::fingerprintMix(h, rack.server->dataBytesOut());
-            h = sim::fingerprintMix(h,
-                                    rack.net->framesForwarded());
-            h = sim::fingerprintMix(h, rack.net->framesUplinked());
             h = sim::fingerprintMix(
-                h, group.rackQueue(r).executed());
+                h, region.seedServer(r).dataBytesOut());
+            h = sim::fingerprintMix(h, region.tor(r).framesForwarded());
+            h = sim::fingerprintMix(h, region.tor(r).framesUplinked());
+            h = sim::fingerprintMix(
+                h, region.group.rackQueue(r).executed());
         }
         return h;
     }
@@ -262,26 +155,12 @@ class StormWorld
     imagesIntact() const
     {
         const sim::Lba sectors = prm.imageBytes / sim::kSectorSize;
-        for (const auto &rack : racks_) {
-            for (const auto &m : rack->machines) {
+        for (const Rack &rack : racks_)
+            for (const auto &m : rack.machines)
                 if (!m->disk().store().rangeHasBase(0, sectors,
                                                     kImageBase))
                     return false;
-            }
-        }
         return true;
-    }
-
-    std::uint64_t
-    totalEvents() const
-    {
-        return group.totalExecuted();
-    }
-
-    std::uint64_t
-    crossRackMessages() const
-    {
-        return group.counters().messages;
     }
 
     /** Small, fast boot working set: the storm varies fleet scale,
@@ -310,21 +189,19 @@ class StormWorld
         return p;
     }
 
+    StormParams prm;
+    Region region;
+
+  private:
     struct Rack
     {
-        std::unique_ptr<net::Network> net;
-        std::unique_ptr<sim::FaultInjector> faults;
-        std::unique_ptr<aoe::AoeServer> server;
         std::vector<std::unique_ptr<hw::Machine>> machines;
         std::vector<std::unique_ptr<guest::GuestOs>> guests;
         std::vector<std::unique_ptr<bmcast::BmcastDeployer>> deps;
-        unsigned serving = 0;
         unsigned done = 0;
     };
 
-    StormParams prm;
-    sim::ShardGroup group;
-    std::vector<std::unique_ptr<Rack>> racks_;
+    std::vector<Rack> racks_;
 };
 
 } // namespace bench

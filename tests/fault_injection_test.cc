@@ -984,7 +984,7 @@ TEST(MigrateChaos, DestCrashAtHandoffRollsBackToSource)
 TEST(MigrateChaos, ChaoticShardedMigrationsAreSeedDeterministic)
 {
     auto world = [](std::uint64_t seed, unsigned shards) {
-        migratebench::MigrateWorldParams p;
+        bench::MigrateWorldParams p;
         p.racks = 4;
         p.shards = shards;
         p.seed = seed;
@@ -996,7 +996,7 @@ TEST(MigrateChaos, ChaoticShardedMigrationsAreSeedDeterministic)
         p.runFor = 5 * sim::kSec;
         p.streamDrop.probability = 0.25;
         p.destCrash.probability = 0.25;
-        migratebench::MigrateWorld w(p);
+        bench::MigrateWorld w(p);
         w.run();
         return w.fingerprint();
     };

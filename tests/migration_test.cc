@@ -322,10 +322,10 @@ TEST(Migration, PersistBitmapDefersCompletionToNewestToken)
     EXPECT_TRUE(restored.isFilled(late, 64));
 }
 
-migratebench::MigrateWorldParams
+bench::MigrateWorldParams
 worldParams(unsigned shards, std::uint64_t seed)
 {
-    migratebench::MigrateWorldParams p;
+    bench::MigrateWorldParams p;
     p.racks = 8;
     p.shards = shards;
     p.seed = seed;
@@ -346,7 +346,7 @@ TEST(MigrateWorld, FingerprintIdenticalAcrossShardCounts)
     std::uint64_t serial_fp = 0;
     unsigned serial_done = 0;
     for (unsigned shards : {1u, 2u, 4u, 8u}) {
-        migratebench::MigrateWorld w(worldParams(shards, 42));
+        bench::MigrateWorld w(worldParams(shards, 42));
         w.run();
         EXPECT_EQ(w.migrationsAborted(), 0u);
         if (shards == 1) {
@@ -365,7 +365,7 @@ TEST(MigrateWorld, FingerprintIdenticalAcrossShardCounts)
 // replica equals its source's (frozen-after-pause) disk.
 TEST(MigrateWorld, ReplicasByteIdenticalToSources)
 {
-    migratebench::MigrateWorld w(worldParams(4, 7));
+    bench::MigrateWorld w(worldParams(4, 7));
     w.run();
     ASSERT_EQ(w.migrationsDone(), w.prm.racks);
     for (unsigned r = 0; r < w.prm.racks; ++r) {
@@ -383,9 +383,9 @@ TEST(MigrateWorld, ReplicasByteIdenticalToSources)
 // varies — a constant fingerprint would gate nothing).
 TEST(MigrateWorld, FingerprintVariesWithSeed)
 {
-    migratebench::MigrateWorld a(worldParams(2, 1));
+    bench::MigrateWorld a(worldParams(2, 1));
     a.run();
-    migratebench::MigrateWorld b(worldParams(2, 2));
+    bench::MigrateWorld b(worldParams(2, 2));
     b.run();
     EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
