@@ -3,16 +3,19 @@
  * Shared-NIC mediator tests (paper §6): guest and VMM traffic
  * coexist on one physical NIC through shadow ring buffers; AoE
  * demultiplexes to the VMM, everything else to the guest; the NIC
- * de-virtualizes cleanly back to the guest's own rings.
+ * de-virtualizes cleanly back to the guest's own rings. The mediator
+ * is the single-guest shape of the netmed core: trap mode, one
+ * catch-all guest on the physical window.
  */
 
 #include <gtest/gtest.h>
 
 #include "aoe/initiator.hh"
+#include "aoe/protocol.hh"
 #include "aoe/server.hh"
-#include "bmcast/nic_mediator.hh"
 #include "hw/e1000_driver.hh"
 #include "hw/machine.hh"
+#include "netmed/net_mediation_core.hh"
 #include "tests/test_util.hh"
 
 using namespace testutil;
@@ -38,10 +41,13 @@ struct SharedNicWorld
         guestArena = std::make_unique<hw::MemArena>(32 * sim::kMiB,
                                                     128 * sim::kMiB);
 
-        // The mediator owns the *guest* NIC: one shared port.
-        mediator = std::make_unique<bmcast::NicMediator>(
+        // The mediator owns the *guest* NIC: one shared port, one
+        // promiscuous guest with no rate limit.
+        mediator = std::make_unique<netmed::NetMediationCore>(
             eq, "nicmed", machine->bus(), machine->mem(),
-            machine->guestNic(), *vmmArena);
+            machine->guestNic(), *vmmArena, netmed::MedMode::Trap,
+            aoe::kEtherType);
+        mediator->addGuest(netmed::NetMediationCore::GuestConfig{});
         mediator->install();
 
         // VMM AoE initiator rides the mediator's L2 endpoint.
@@ -72,7 +78,7 @@ struct SharedNicWorld
     aoe::AoeServer server;
     std::unique_ptr<hw::Machine> machine;
     std::unique_ptr<hw::MemArena> vmmArena, guestArena;
-    std::unique_ptr<bmcast::NicMediator> mediator;
+    std::unique_ptr<netmed::NetMediationCore> mediator;
     std::unique_ptr<aoe::AoeInitiator> initiator;
     std::unique_ptr<hw::E1000Driver> guestDrv;
 };
