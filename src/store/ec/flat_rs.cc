@@ -15,8 +15,8 @@ FlatRs::readPlan(const std::vector<net::MacAddr> &stripe,
                  const LiveFn &live, std::uint32_t sectors) const
 {
     const unsigned k = dataShards();
-    // Data members first, then live parity fills the gaps — the same
-    // pick order as the legacy planFor.
+    // Data members first, then live parity fills the gaps — the
+    // pick order of the original k+m store.
     std::vector<unsigned> picks;
     picks.reserve(k);
     unsigned parity_used = 0;

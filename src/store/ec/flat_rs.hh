@@ -2,12 +2,12 @@
  * @file
  * Flat k+m Reed–Solomon — the PR-5 store code, re-hosted as plans.
  *
- * readPlan() reproduces Placement::planFor + ChunkStreamer's slicing
- * exactly (data members first, live parity back-fills in index order,
- * sectors split base + remainder across the k picks, zero-sector
- * slices skipped, one GF combine at the full decode penalty iff any
- * parity member serves), so a FlatRs store runs tick-identical to the
- * pre-plan path.  repairPlan() is the flat-RS weakness the other
+ * readPlan() reproduces the k+m store's source pick + ChunkStreamer's
+ * slicing exactly (data members first, live parity back-fills in index
+ * order, sectors split base + remainder across the k picks,
+ * zero-sector slices skipped, one GF combine at the full decode
+ * penalty iff any parity member serves), so a FlatRs store runs
+ * tick-identical to the pre-plan path.  repairPlan() is the flat-RS weakness the other
  * codes attack: any single rebuild moves k full shards.
  */
 

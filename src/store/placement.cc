@@ -6,15 +6,6 @@
 
 namespace store {
 
-Placement::Placement(unsigned data_shards, unsigned parity_shards,
-                     std::vector<net::MacAddr> servers)
-    : Placement(ec::makeCode(ec::CodeKind::FlatRs,
-                             ec::CodeParams{data_shards, parity_shards,
-                                            1, 0}),
-                std::move(servers))
-{
-}
-
 Placement::Placement(std::shared_ptr<const ec::Code> code,
                      std::vector<net::MacAddr> servers)
     : code_(std::move(code)), servers_(std::move(servers))
@@ -68,24 +59,6 @@ Placement::stripeFor(Digest d) const
             if (member < stripe.size())
                 stripe[member] = mac;
     return stripe;
-}
-
-std::optional<Placement::Plan>
-Placement::planFor(Digest d,
-                   const std::function<bool(net::MacAddr)> &live) const
-{
-    // Flattening shim over the code's read plan: ask for one sector
-    // per data slot so every chosen member surfaces exactly once, in
-    // issue order.
-    auto plan = readPlanFor(d, live, code_->dataShards());
-    if (!plan)
-        return std::nullopt;
-    Plan flat;
-    flat.parityUsed = plan->parityUsed;
-    for (const ec::PlanStep &s : plan->steps)
-        if (s.op == ec::StepOp::Fetch)
-            flat.sources.push_back(s.source);
-    return flat;
 }
 
 std::optional<ec::Plan>
