@@ -104,7 +104,7 @@ class CongestionController
 
     /** A RateGate bound to (rack, tenant), ready to hand to
      *  BackgroundCopy / ChunkStreamer. */
-    RateGate
+    sim::RateGate
     gateFor(unsigned rack, TenantId tenant)
     {
         return [this, rack, tenant](sim::Bytes bytes, sim::Tick now) {
@@ -126,7 +126,7 @@ class CongestionController
 
     /** A RateGate over the serving lane, ready to hand to
      *  netmed::NetMediationCore::setGuestGate(). */
-    RateGate
+    sim::RateGate
     servingGateFor(unsigned rack, TenantId tenant)
     {
         return [this, rack, tenant](sim::Bytes bytes, sim::Tick now) {
@@ -148,7 +148,7 @@ class CongestionController
 
     /** A RateGate over the scavenger lane, ready to hand to
      *  store::RepairScheduler::setRateGate(). */
-    RateGate
+    sim::RateGate
     scavengerGateFor(unsigned rack, TenantId tenant)
     {
         return [this, rack, tenant](sim::Bytes bytes, sim::Tick now) {

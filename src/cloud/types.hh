@@ -1,20 +1,13 @@
 /**
  * @file
  * Control-plane vocabulary: tenants, QoS classes, lease lifecycle
- * states, typed admission rejections, and the deployment rate-gate
- * signature shared with the data-plane engines.
- *
- * This header is the only coupling the data plane needs: the gate is
- * a plain std::function signature (structurally identical to
- * bmcast::RateGate and store::ChunkStreamer::RateGate), so the
- * engines that draw tokens never link against the control plane.
+ * states and typed admission rejections.
  */
 
 #ifndef CLOUD_TYPES_HH
 #define CLOUD_TYPES_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "simcore/types.hh"
 
@@ -71,14 +64,6 @@ const char *qosClassName(QosClass c);
 const char *rejectReasonName(RejectReason r);
 const char *leaseStateName(LeaseState s);
 const char *migrateRejectName(MigrateReject r);
-
-/**
- * Deployment rate gate: ask to move @p bytes at @p now; the gate
- * books the transfer on its budget buckets and returns the earliest
- * tick the transfer may be issued (>= now). Issued from the shard
- * that owns the flow's rack.
- */
-using RateGate = std::function<sim::Tick(sim::Bytes, sim::Tick)>;
 
 } // namespace cloud
 

@@ -80,7 +80,7 @@ NetMediationCore::setGuestQos(unsigned slot, const GuestQos &qos)
 }
 
 void
-NetMediationCore::setGuestGate(unsigned slot, RateGate gate)
+NetMediationCore::setGuestGate(unsigned slot, sim::RateGate gate)
 {
     Slot &s = slots_.at(slot);
     s.gate = std::move(gate);

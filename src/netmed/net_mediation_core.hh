@@ -83,7 +83,7 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
     void setGuestQos(unsigned slot, const GuestQos &qos);
 
     /** Cluster bandwidth gate for one guest's TX (may be empty). */
-    void setGuestGate(unsigned slot, RateGate gate);
+    void setGuestGate(unsigned slot, sim::RateGate gate);
 
     /** Seize the NIC: shadow rings + intercepts (or taps). */
     void install();
@@ -138,7 +138,7 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
         double tokens = 0.0;     //!< token-bucket fill (bytes)
         sim::Tick lastRefill = 0;
         double deficit = 0.0;    //!< DRR deficit (wire bytes)
-        RateGate gate;
+        sim::RateGate gate;
         bool gateCharged = false;
         sim::Tick gateReadyAt = 0;
         bool deferred = false; //!< head frame already counted throttled

@@ -5,9 +5,8 @@
  * netmed is the network analogue of the storage MediationCore: a
  * controller-agnostic multiplexing layer that lets one physical NIC
  * serve the VMM and any number of guests at once, with per-guest QoS.
- * It deliberately has no dependency on the control plane: RateGate is
- * a structural duplicate of cloud::RateGate so a data-plane component
- * can draw through a CongestionController handed to it as a plain
+ * It deliberately has no dependency on the control plane: its
+ * sim::RateGate lets a CongestionController be handed in as a plain
  * function, without linking cloudctl.
  */
 
@@ -25,14 +24,6 @@ class Registry;
 }
 
 namespace netmed {
-
-/**
- * Books @p bytes on a shared rate budget at @p now and returns the
- * tick at which the bytes may depart. Charging happens on the call
- * (freeAt serialization), so callers must charge a frame exactly
- * once.
- */
-using RateGate = std::function<sim::Tick(sim::Bytes, sim::Tick)>;
 
 /** How a guest reaches the shared NIC. */
 enum class MedMode {

@@ -11,6 +11,7 @@
 #define SIMCORE_TYPES_HH
 
 #include <cstdint>
+#include <functional>
 
 namespace sim {
 
@@ -37,6 +38,16 @@ constexpr Tick kSec = 1000 * kMs;
 
 /** Disk sector size used throughout (ATA/AHCI logical sector). */
 constexpr Bytes kSectorSize = 512;
+
+/**
+ * Deployment-bandwidth token gate: gate(bytes, now) books a transfer
+ * of `bytes` on a shared budget and returns the earliest tick it may
+ * be issued (>= now). Charging happens on the call, so a caller
+ * charges each transfer exactly once. cloud::CongestionController
+ * hands out gates; the data-plane engines draw through them without
+ * linking the control plane. An empty gate means unshaped.
+ */
+using RateGate = std::function<Tick(Bytes, Tick)>;
 
 /** Convenience byte-size constants. */
 constexpr Bytes kKiB = 1024;

@@ -69,14 +69,10 @@ struct RepairStats
 class RepairScheduler : public sim::SimObject
 {
   public:
-    /** Same shape as store::ChunkStreamer::RateGate (duplicated so
-     *  the store tier stays free of control-plane headers). */
-    using RateGate = std::function<sim::Tick(sim::Bytes, sim::Tick)>;
-
     RepairScheduler(sim::EventQueue &eq, std::string name,
                     StoreFabric &fabric, RepairParams params);
 
-    void setRateGate(RateGate g) { gate_ = std::move(g); }
+    void setRateGate(sim::RateGate g) { gate_ = std::move(g); }
     void setFaultInjector(sim::FaultInjector *fi) { faults_ = fi; }
 
     /** Arm the periodic liveness probe. */
@@ -128,7 +124,7 @@ class RepairScheduler : public sim::SimObject
 
     StoreFabric &fabric_;
     RepairParams prm_;
-    RateGate gate_;
+    sim::RateGate gate_;
     sim::FaultInjector *faults_ = nullptr;
     bool started_ = false;
     bool halted_ = false;

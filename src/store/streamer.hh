@@ -44,14 +44,10 @@ class ChunkStreamer : public sim::SimObject
                   sim::Lba imageSectors);
 
     /**
-     * Deployment-bandwidth token gate (same shape as
-     * bmcast::RateGate / cloud::RateGate, duplicated so the store
-     * tier stays free of control-plane headers): gate(bytes, now)
-     * returns the earliest issue tick. Applies only to fetches marked
+     * Deployment-bandwidth token gate. Applies only to fetches marked
      * background — copy-on-read stays latency-critical and unshaped.
      */
-    using RateGate = std::function<sim::Tick(sim::Bytes, sim::Tick)>;
-    void setRateGate(RateGate g) { gate_ = std::move(g); }
+    void setRateGate(sim::RateGate g) { gate_ = std::move(g); }
 
     /** Fetch [lba, lba+count) of the image through the store tier.
      *  @p done receives one token per sector, digest-verified.
@@ -119,7 +115,7 @@ class ChunkStreamer : public sim::SimObject
     net::MacAddr self_;
     sim::Lba imageSectors_;
     bool halted_ = false;
-    RateGate gate_;
+    sim::RateGate gate_;
 
     /** Per-chunk lifecycle: sectors landed; 0 filling, 1 registered,
      *  2 poisoned. */
