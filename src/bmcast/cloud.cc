@@ -240,11 +240,12 @@ Cloud::startDeployment(cloud::Lease &l)
     // The AoE major number selects this instance's image on the
     // shared storage server.
     vp.aoeMajor = img->second.major;
+    // Legacy mode's server list is the single image server.
+    ref->deployer_ = std::make_unique<BmcastDeployer>(
+        eventQueue(), pool[slot]->name() + ".dep", *pool[slot],
+        *ref->guest_, serverMacs_, img->second.sectors, vp,
+        cfg.coldFirmware);
     if (fabric_) {
-        ref->deployer_ = std::make_unique<BmcastDeployer>(
-            eventQueue(), pool[slot]->name() + ".dep", *pool[slot],
-            *ref->guest_, serverMacs_, img->second.sectors, vp,
-            cfg.coldFirmware);
         net::MacAddr peer_mac = kPeerMacBase + slot;
         store::DeploySpec spec;
         spec.fabric = fabric_.get();
@@ -253,11 +254,6 @@ Cloud::startDeployment(cloud::Lease &l)
         ref->deployer_->setStoreSpec(std::move(spec));
         fabric_->attachPeer(lan, peer_mac,
                             pool[slot]->name() + ".chunksrv");
-    } else {
-        ref->deployer_ = std::make_unique<BmcastDeployer>(
-            eventQueue(), pool[slot]->name() + ".dep", *pool[slot],
-            *ref->guest_, kServerMac, img->second.sectors, vp,
-            cfg.coldFirmware);
     }
     if (congestion_) {
         ref->deployer_->setRateGate(
