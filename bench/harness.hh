@@ -198,7 +198,7 @@ struct Testbed
      *  report (mediators usually die before the Testbed does). */
     void
     noteMediator(const std::string &label,
-                 const bmcast::DeviceMediator &m)
+                 const bmcast::MediationCore &m)
     {
         mediatorSnaps.emplace_back(label, m.stats());
     }

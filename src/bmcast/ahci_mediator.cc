@@ -14,7 +14,7 @@ AhciMediator::AhciMediator(sim::EventQueue &eq, std::string name,
                            hw::IoBus &bus_, hw::PhysMem &mem_,
                            hw::MemArena &vmm_arena,
                            MediatorServices services)
-    : sim::SimObject(eq, std::move(name)),
+    : MediatorFrontEnd(eq, std::move(name)),
       bus(bus_), vmmView(bus_, /*guestContext=*/false), mem(mem_),
       medCmdList(vmm_arena.alloc(kNumSlots * kCmdHeaderSize, 1024)),
       medTable(vmm_arena.alloc(kPrdtOffset + 64 * kPrdtEntrySize, 128)),
@@ -22,11 +22,9 @@ AhciMediator::AhciMediator(sim::EventQueue &eq, std::string name,
           vmm_arena.alloc(kPrdtOffset + kPrdtEntrySize, 128)),
       medBuffer(vmm_arena.alloc(
           sim::Bytes(kMedBufferSectors) * sim::kSectorSize, 4096)),
-      dummyBuffer(vmm_arena.alloc(sim::kSectorSize, 512)),
-      core(this->name(), mem_, *this, std::move(services), medBuffer,
-           kMedBufferSectors)
+      dummyBuffer(vmm_arena.alloc(sim::kSectorSize, 512))
 {
-    core.setQuiesceHook([this]() { notifyQuiescent(); });
+    buildCore(mem_, std::move(services), medBuffer, kMedBufferSectors);
 }
 
 void
@@ -46,7 +44,7 @@ AhciMediator::install()
 void
 AhciMediator::uninstall()
 {
-    sim::panicIfNot(quiescent(),
+    sim::panicIfNot(core().quiescent(),
                     "de-virtualizing a non-quiescent AHCI mediator");
     bus.removeIntercept(IoSpace::Mmio, kAbar, kAbarSize);
     installed = false;
@@ -59,7 +57,7 @@ AhciMediator::powerOff()
         return;
     bus.removeIntercept(IoSpace::Mmio, kAbar, kAbarSize);
     installed = false;
-    core.reset();
+    core().reset();
     redirectBits = 0;
     guestIssued = 0;
 }
@@ -75,12 +73,12 @@ std::uint32_t
 AhciMediator::guestVisibleCi()
 {
     std::uint32_t queued_ci = 0;
-    for (const auto &[addr, value] : core.queuedGuestWrites())
+    for (const auto &[addr, value] : core().queuedGuestWrites())
         if (addr == kAbar + kPxCi)
             queued_ci |= static_cast<std::uint32_t>(value);
 
     std::uint32_t visible;
-    switch (core.state()) {
+    switch (core().state()) {
       case MediationCore::State::Passthrough:
       case MediationCore::State::Draining:
         visible = deviceCi() | redirectBits | queued_ci;
@@ -107,7 +105,7 @@ AhciMediator::guestVisibleCi()
     if (before != 0 && guestIssued == 0) {
         // The guest acknowledged its last outstanding command:
         // inject a waiting VMM command in the gap.
-        core.maybeStartPending();
+        core().maybeStartPending();
     }
     return visible;
 }
@@ -128,15 +126,15 @@ AhciMediator::interceptRead(sim::Addr addr, unsigned size,
         value = guestVisibleCi();
         return true;
       case kPxTfd:
-        if (core.state() == MediationCore::State::Redirecting ||
-            core.state() == MediationCore::State::VmmActive) {
+        if (core().state() == MediationCore::State::Redirecting ||
+            core().state() == MediationCore::State::VmmActive) {
             value = 0x50; // DRDY: emulate an idle device (§3.2)
             return true;
         }
         return false;
       case kIs:
       case kPxIs:
-        if (core.state() == MediationCore::State::VmmActive) {
+        if (core().state() == MediationCore::State::VmmActive) {
             value = 0; // hide the VMM command's completion status
             return true;
         }
@@ -153,11 +151,11 @@ AhciMediator::interceptWrite(sim::Addr addr, std::uint64_t value,
     (void)size;
     auto v = static_cast<std::uint32_t>(value);
     sim::Addr off = addr - kAbar;
-    auto st = core.state();
+    auto st = core().state();
 
     if (st == MediationCore::State::VmmActive) {
         // Exclusive VMM window: everything is queued (§3.2).
-        core.queueGuestWrite(addr, v);
+        core().queueGuestWrite(addr, v);
         return true;
     }
 
@@ -177,7 +175,7 @@ AhciMediator::interceptWrite(sim::Addr addr, std::uint64_t value,
             onGuestCiWrite(v);
             return true; // forwarding decided per slot
         }
-        core.queueGuestWrite(addr, v);
+        core().queueGuestWrite(addr, v);
         return true;
       default:
         return false;
@@ -241,9 +239,9 @@ AhciMediator::onGuestCiWrite(std::uint32_t bits)
 
         bool fwd;
         if (is_write) {
-            fwd = core.onGuestWrite(slot, lba, count);
+            fwd = core().onGuestWrite(slot, lba, count);
         } else {
-            fwd = core.onGuestRead(slot, lba, count, [this, slot]() {
+            fwd = core().onGuestRead(slot, lba, count, [this, slot]() {
                 return parseGuestSg(slot);
             });
         }
@@ -257,9 +255,9 @@ AhciMediator::onGuestCiWrite(std::uint32_t bits)
         guestIssued |= forward;
         vmmView.write(IoSpace::Mmio, kAbar + kPxCi, forward, 4);
     }
-    if (core.hasPendingRedirects() &&
-        core.state() == MediationCore::State::Passthrough)
-        core.beginRedirects();
+    if (core().hasPendingRedirects() &&
+        core().state() == MediationCore::State::Passthrough)
+        core().beginRedirects();
 }
 
 void
@@ -305,7 +303,7 @@ AhciMediator::issueDummyRestart(std::uint32_t key)
 
     // Dummy command table: one-sector read of the dummy sector into
     // the VMM's dummy buffer (§3.2 step 4).
-    programCfis(medDummyTable, false, core.services().dummyLba, 1);
+    programCfis(medDummyTable, false, core().services().dummyLba, 1);
     sim::Addr prd = medDummyTable + kPrdtOffset;
     mem.write32(prd, static_cast<std::uint32_t>(dummyBuffer));
     mem.write32(prd + 4, 0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bmcast/mediation_core.hh"
 #include "hw/disk_store.hh"
 #include "simcore/logging.hh"
 
@@ -35,14 +36,16 @@ forEachTokenRun(sim::Lba lba, const std::vector<std::uint64_t> &tokens,
 
 BackgroundCopy::BackgroundCopy(sim::EventQueue &eq, std::string name,
                                const VmmParams &params_,
-                               DeviceMediator &mediator_,
+                               MediationCore &mediator_,
                                BlockBitmap &bitmap_, FetchFn fetch_,
                                sim::Lba image_sectors,
+                               std::uint32_t fetch_align_sectors,
                                std::function<void()> on_complete)
     : sim::SimObject(eq, std::move(name)),
       params(params_), mod(params_.moderation), mediator(mediator_),
       bitmap(bitmap_), fetch(std::move(fetch_)),
-      imageSectors(image_sectors), onComplete(std::move(on_complete)),
+      imageSectors(image_sectors), fetchAlign(fetch_align_sectors),
+      onComplete(std::move(on_complete)),
       guestIoRate(params_.moderation.guestIoWindow),
       obsTrack_(this->name())
 {
@@ -174,15 +177,13 @@ BackgroundCopy::retrieverLoop()
     auto count =
         static_cast<std::uint32_t>(block->second - block->first);
     lba = block->first;
-    if (params.copyFetchAlignSectors) {
+    if (fetchAlign) {
         // Trim a boundary-crossing fetch so it ends on an alignment
         // boundary: successors then start chunk-aligned and the store
         // tier fans the span out one piece per chunk. Fetches inside
         // a single chunk (tail, or resuming behind a guest read) pass
         // through untouched.
-        sim::Lba aligned_end = ((lba + count) /
-                                params.copyFetchAlignSectors) *
-                               params.copyFetchAlignSectors;
+        sim::Lba aligned_end = ((lba + count) / fetchAlign) * fetchAlign;
         if (aligned_end > lba)
             count = static_cast<std::uint32_t>(aligned_end - lba);
     }
@@ -322,10 +323,8 @@ BackgroundCopy::tryWriteHead()
     bool accepted = mediator.vmmWrite(
         b.lba, b.count, b.contentBase, [this, b]() {
             writeInFlight = false;
-            if (observer)
-                observer(b.lba, b.count);
-            if (storeObserver)
-                storeObserver(b.lba, b.count);
+            for (const WriteObserver &o : observers)
+                o(b.lba, b.count);
             // FILLED only at completion: until the data is on disk,
             // reads must keep going to the server.
             bitmap.markFilled(b.lba, b.count);

@@ -24,15 +24,17 @@
 
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "bmcast/block_bitmap.hh"
-#include "bmcast/mediator.hh"
 #include "bmcast/params.hh"
 #include "obs/obs.hh"
 #include "simcore/sim_object.hh"
 #include "simcore/stats.hh"
 
 namespace bmcast {
+
+class MediationCore;
 
 /** The engine. */
 class BackgroundCopy : public sim::SimObject
@@ -42,10 +44,16 @@ class BackgroundCopy : public sim::SimObject
         sim::Lba, std::uint32_t,
         std::function<void(const std::vector<std::uint64_t> &)>)>;
 
+    /**
+     * @param fetchAlignSectors when non-zero, retriever fetches never
+     *        cross a multiple of it (the VMM passes the store chunk
+     *        size when fetches go through the streamer, so every
+     *        fetch maps to whole chunks); zero = unaligned blocks.
+     */
     BackgroundCopy(sim::EventQueue &eq, std::string name,
-                   const VmmParams &params, DeviceMediator &mediator,
+                   const VmmParams &params, MediationCore &mediator,
                    BlockBitmap &bitmap, FetchFn fetch,
-                   sim::Lba imageSectors,
+                   sim::Lba imageSectors, std::uint32_t fetchAlignSectors,
                    std::function<void()> onComplete);
 
     /** Begin retrieving and writing. */
@@ -68,7 +76,7 @@ class BackgroundCopy : public sim::SimObject
      * deferred to the returned tick. Unset = unshaped, the exact
      * historical event sequence.
      */
-    void setRateGate(RateGate g) { gate_ = std::move(g); }
+    void setRateGate(sim::RateGate g) { gate_ = std::move(g); }
 
     /** Live-tune the write interval (Fig. 14 sweep). */
     void setWriteInterval(sim::Tick t) { mod.vmmWriteInterval = t; }
@@ -85,18 +93,16 @@ class BackgroundCopy : public sim::SimObject
     void noteFetchTrouble();
 
     /**
-     * Observer invoked at every completed VMM background write
-     * (before the bitmap marks it FILLED).  Tests use it to check
-     * the no-duplicate-write invariant across failovers.
+     * Observe every completed VMM background write (before the
+     * bitmap marks it FILLED), in the order the observers were
+     * added. The VMM adds the store tier's peer-source registration;
+     * tests add checks of the no-duplicate-write invariant across
+     * failovers.
      */
     using WriteObserver = std::function<void(sim::Lba, std::uint32_t)>;
-    void setWriteObserver(WriteObserver o) { observer = std::move(o); }
-
-    /** Second observer slot for the store tier (peer-source
-     *  registration tracks landed pristine content). */
-    void setStoreObserver(WriteObserver o)
+    void addWriteObserver(WriteObserver o)
     {
-        storeObserver = std::move(o);
+        observers.push_back(std::move(o));
     }
 
     bool complete() const { return done; }
@@ -138,11 +144,12 @@ class BackgroundCopy : public sim::SimObject
 
     const VmmParams &params;
     ModerationParams mod;
-    DeviceMediator &mediator;
+    MediationCore &mediator;
     BlockBitmap &bitmap;
     FetchFn fetch;
-    RateGate gate_;
+    sim::RateGate gate_;
     sim::Lba imageSectors;
+    std::uint32_t fetchAlign;
     std::function<void()> onComplete;
 
     std::deque<Block> fifo;
@@ -169,8 +176,7 @@ class BackgroundCopy : public sim::SimObject
     sim::Tick roundStart = 0;
     sim::RateMeter guestIoRate;
 
-    WriteObserver observer;
-    WriteObserver storeObserver;
+    std::vector<WriteObserver> observers;
     /** Fetch-trouble backoff exponent (capped at 6, i.e. 64x). */
     unsigned degradeShift = 0;
 

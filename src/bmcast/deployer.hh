@@ -67,7 +67,7 @@ class BmcastDeployer : public sim::SimObject
 
     /** Bind a deployment-bandwidth gate (before run()); see
      *  Vmm::setRateGate. */
-    void setRateGate(RateGate g) { vmm_->setRateGate(std::move(g)); }
+    void setRateGate(sim::RateGate g) { vmm_->setRateGate(std::move(g)); }
 
     /** Start; @p onGuestReady fires when the guest OS has booted
      *  (the cloud customer's instance is usable). */

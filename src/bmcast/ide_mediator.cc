@@ -14,22 +14,19 @@ IdeMediator::IdeMediator(sim::EventQueue &eq, std::string name,
                          hw::IoBus &bus_, hw::PhysMem &mem_,
                          hw::MemArena &vmm_arena,
                          MediatorServices services)
-    : sim::SimObject(eq, std::move(name)),
+    : MediatorFrontEnd(eq, std::move(name)),
       bus(bus_), vmmView(bus_, /*guestContext=*/false), mem(mem_),
       vmmPrd(vmm_arena.alloc(64 * kPrdEntrySize, 64)),
       vmmBuffer(vmm_arena.alloc(
           sim::Bytes(kVmmBufferSectors) * sim::kSectorSize, 4096)),
       dummyPrd(vmm_arena.alloc(kPrdEntrySize, 64)),
-      dummyBuffer(vmm_arena.alloc(sim::kSectorSize, 512)),
-      core(this->name(), mem_, *this, std::move(services), vmmBuffer,
-           kVmmBufferSectors)
+      dummyBuffer(vmm_arena.alloc(sim::kSectorSize, 512))
 {
+    buildCore(mem_, std::move(services), vmmBuffer, kVmmBufferSectors);
     // The dummy PRD never changes: one sector into the dummy buffer.
     mem.write32(dummyPrd, static_cast<std::uint32_t>(dummyBuffer));
     mem.write16(dummyPrd + 4, sim::kSectorSize);
     mem.write16(dummyPrd + 6, kPrdEot);
-
-    core.setQuiesceHook([this]() { notifyQuiescent(); });
 }
 
 void
@@ -40,13 +37,13 @@ IdeMediator::install()
     bus.intercept(IoSpace::Pio, kCtrlPort, 1, this);
     bus.intercept(IoSpace::Pio, kBmBase, kBmSize, this);
     installed = true;
-    core.warmDummy();
+    core().warmDummy();
 }
 
 void
 IdeMediator::uninstall()
 {
-    sim::panicIfNot(quiescent(),
+    sim::panicIfNot(core().quiescent(),
                     "de-virtualizing a non-quiescent IDE mediator");
     bus.removeIntercept(IoSpace::Pio, kPioBase, kPioSize);
     bus.removeIntercept(IoSpace::Pio, kCtrlPort, 1);
@@ -63,7 +60,7 @@ IdeMediator::powerOff()
     bus.removeIntercept(IoSpace::Pio, kCtrlPort, 1);
     bus.removeIntercept(IoSpace::Pio, kBmBase, kBmSize);
     installed = false;
-    core.reset();
+    core().reset();
     guestCmdActive = false;
 }
 
@@ -100,11 +97,11 @@ IdeMediator::interceptWrite(sim::Addr addr, std::uint64_t value,
 {
     (void)size;
 
-    if (core.state() != MediationCore::State::Passthrough) {
+    if (core().state() != MediationCore::State::Passthrough) {
         // The device is owned by a redirection or a VMM command:
         // queue the guest's register writes for later replay (§3.2
         // I/O multiplexing).
-        core.queueGuestWrite(addr, value);
+        core().queueGuestWrite(addr, value);
         return true;
     }
 
@@ -167,7 +164,7 @@ IdeMediator::interceptRead(sim::Addr addr, unsigned size,
     bool is_alt = addr == kCtrlPort;
     bool is_bm_status = addr == kBmBase + kBmStatus;
 
-    if (core.state() == MediationCore::State::Redirecting) {
+    if (core().state() == MediationCore::State::Redirecting) {
         // Emulate "busy" while we serve the read (§3.2: "device
         // mediators emulate the status information so that the guest
         // OS can determine that the device is busy").
@@ -182,7 +179,7 @@ IdeMediator::interceptRead(sim::Addr addr, unsigned size,
         return false;
     }
 
-    if (core.state() == MediationCore::State::VmmActive) {
+    if (core().state() == MediationCore::State::VmmActive) {
         // Emulate "idle" so the guest proceeds to issue its request,
         // which we queue (§3.2: "emulate the status of the device as
         // if the device is not busy").
@@ -206,7 +203,7 @@ IdeMediator::interceptRead(sim::Addr addr, unsigned size,
             guestCmdActive = false;
             // The device just quiesced: inject a waiting VMM
             // command before the guest issues its next one.
-            core.maybeStartPending();
+            core().maybeStartPending();
         }
         return true;
     }
@@ -228,9 +225,9 @@ IdeMediator::onGuestCommand(std::uint8_t cmd)
 
     bool forward;
     if (isWriteCommand(cmd)) {
-        forward = core.onGuestWrite(0, lba, count);
+        forward = core().onGuestWrite(0, lba, count);
     } else {
-        forward = core.onGuestRead(0, lba, count, [this]() {
+        forward = core().onGuestRead(0, lba, count, [this]() {
             return parseGuestPrdt(sh.bmPrdt);
         });
     }
@@ -238,7 +235,7 @@ IdeMediator::onGuestCommand(std::uint8_t cmd)
         guestCmdActive = true;
         return true;
     }
-    core.beginRedirects();
+    core().beginRedirects();
     return false;
 }
 
@@ -279,7 +276,7 @@ IdeMediator::issueDummyRestart(std::uint32_t key)
 {
     (void)key;
     vmmView.write(IoSpace::Pio, kCtrlPort, sh.devCtrl, 1);
-    programTaskFile(core.services().dummyLba, 1, kCmdReadDmaExt,
+    programTaskFile(core().services().dummyLba, 1, kCmdReadDmaExt,
                     dummyPrd, kBmCmdToMemory);
     guestCmdActive = true; // until the guest acks the interrupt
     return RestartMode::FireAndForget;

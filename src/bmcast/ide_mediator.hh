@@ -12,47 +12,25 @@
 #define BMCAST_IDE_MEDIATOR_HH
 
 #include "bmcast/mediation_core.hh"
-#include "bmcast/mediator.hh"
 #include "hw/ide_regs.hh"
 #include "hw/io_bus.hh"
 #include "hw/mem_arena.hh"
-#include "simcore/sim_object.hh"
 
 namespace bmcast {
 
 /** The mediator. */
-class IdeMediator : public sim::SimObject,
-                    public DeviceMediator,
-                    public hw::IoInterceptor,
-                    private ControllerPort
+class IdeMediator : public MediatorFrontEnd
 {
   public:
     IdeMediator(sim::EventQueue &eq, std::string name, hw::IoBus &bus,
                 hw::PhysMem &mem, hw::MemArena &vmmArena,
                 MediatorServices services);
 
-    /** @name DeviceMediator */
+    /** @name MediatorFrontEnd */
     /// @{
     void install() override;
     void uninstall() override;
     void powerOff() override;
-    void poll() override { core.poll(); }
-    bool vmmWrite(sim::Lba lba, std::uint32_t count,
-                  std::uint64_t contentBase,
-                  std::function<void()> done) override
-    {
-        return core.vmmWrite(lba, count, contentBase,
-                             std::move(done));
-    }
-    bool vmmRead(sim::Lba lba, std::uint32_t count,
-                 std::function<void(const std::vector<std::uint64_t> &)>
-                     done) override
-    {
-        return core.vmmRead(lba, count, std::move(done));
-    }
-    bool vmmOpActive() const override { return core.vmmOpActive(); }
-    bool quiescent() const override { return core.quiescent(); }
-    const MediatorStats &stats() const override { return core.stats(); }
     /// @}
 
     /** @name hw::IoInterceptor (guest accesses) */
@@ -117,8 +95,6 @@ class IdeMediator : public sim::SimObject,
     sim::Addr dummyPrd = 0;
     sim::Addr dummyBuffer = 0;
     static constexpr std::uint32_t kVmmBufferSectors = 2048;
-
-    MediationCore core;
 };
 
 } // namespace bmcast

@@ -310,8 +310,11 @@ MediationCore::maybeStartPending()
         startVmmOp(std::move(op));
         return;
     }
-    if (quiescent() && quiesceHook)
-        quiesceHook();
+    if (quiescent() && quiesceCb) {
+        auto cb = std::move(quiesceCb);
+        quiesceCb = nullptr;
+        cb();
+    }
 }
 
 void

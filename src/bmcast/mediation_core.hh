@@ -1,36 +1,128 @@
 /**
  * @file
- * The controller-agnostic mediation engine (paper §3.2).
+ * Device mediation (paper §3.2): polling-based device-interface-level
+ * I/O mediation, and the controller-agnostic engine behind it.
  *
- * Everything a device mediator does that is *not* register parsing
- * lives here, once: the redirect state machine (partial-fill / mixed
- * segments, virtual DMA into the guest's scatter list, dummy-sector
- * restart sequencing), the VMM-command multiplexer (one-deep pending
- * queue, completion polling, bounce-buffer token plumbing), the
- * guest-register-write queue and its replay, reserved-region-to-dummy
- * conversion, quiescence tracking and `MediatorStats`.
+ * A mediator owns three tasks:
+ *  - I/O interpretation: watch the guest's register traffic and
+ *    reconstruct command/status/data context;
+ *  - I/O redirection (copy-on-read): withhold guest reads that touch
+ *    EMPTY blocks, fetch the data from the storage server, place it
+ *    in the guest's DMA buffers, and let the *device* generate the
+ *    completion interrupt by re-issuing the command as a one-sector
+ *    dummy read that hits the on-disk cache;
+ *  - I/O multiplexing (background copy): when the device is idle,
+ *    inject VMM-issued commands, emulating an idle status register to
+ *    the guest, queueing guest requests issued meanwhile, suppressing
+ *    the device interrupt (nIEN / PxIE) and detecting completion by
+ *    polling from the preemption-timer loop.
  *
- * A concrete mediator (IDE, AHCI, NVMe, ...) is an interpretation
- * front-end: it decodes the controller's architected interface into
- * `onGuestRead`/`onGuestWrite`/`queueGuestWrite` calls and implements
+ * Mediators never virtualize interrupt controllers and never expose
+ * virtual devices: the guest always sees the physical controller's
+ * architected interface, which is what makes de-virtualization a
+ * plain removal of the intercepts.
+ *
+ * Everything a mediator does that is *not* register parsing lives in
+ * MediationCore, once: the redirect state machine (partial-fill /
+ * mixed segments, virtual DMA into the guest's scatter list, dummy-
+ * sector restart sequencing), the VMM-command multiplexer (one-deep
+ * pending queue, completion polling, bounce-buffer token plumbing),
+ * the guest-register-write queue and its replay, reserved-region-to-
+ * dummy conversion, quiescence tracking and `MediatorStats`. The VMM
+ * and the background copy drive the core directly.
+ *
+ * A MediatorFrontEnd (IDE, AHCI, NVMe, ...) is the controller-
+ * specific rest: it decodes the controller's architected interface
+ * into `onGuestRead`/`onGuestWrite`/`queueGuestWrite` calls, implements
  * the small `ControllerPort` surface through which the core drives
- * the hardware.
+ * the hardware, and installs and removes its bus intercepts.
  */
 
 #ifndef BMCAST_MEDIATION_CORE_HH
 #define BMCAST_MEDIATION_CORE_HH
 
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "bmcast/mediator.hh"
+#include "bmcast/block_bitmap.hh"
 #include "hw/dma.hh"
+#include "hw/io_bus.hh"
 #include "hw/phys_mem.hh"
 #include "obs/obs.hh"
 #include "simcore/interval_set.hh"
+#include "simcore/sim_object.hh"
+#include "simcore/types.hh"
+
+namespace obs {
+class Registry;
+} // namespace obs
 
 namespace bmcast {
+
+/** Services the VMM provides to its mediators. */
+struct MediatorServices
+{
+    /** Copy-on-read fetch: tokens for [lba, lba+count) from the
+     *  storage server via the extended AoE protocol. */
+    std::function<void(
+        sim::Lba, std::uint32_t,
+        std::function<void(const std::vector<std::uint64_t> &)>)>
+        fetchRemote;
+
+    /** Hand fetched data to the background writer for a lazy local
+     *  write ("the VMM also writes the data to the local disk for
+     *  future use", §3.1). */
+    std::function<void(sim::Lba, std::uint32_t,
+                       const std::vector<std::uint64_t> &)>
+        stashFetched;
+
+    /** Guest I/O notification feeding the moderation rate meter. */
+    std::function<void(bool isWrite, std::uint32_t sectors)> onGuestIo;
+
+    /** Guest-write range notification (issue time).  The store tier
+     *  uses it to stop offering chunks the tenant has dirtied. */
+    std::function<void(sim::Lba, std::uint32_t)> onGuestWriteRange;
+
+    /** The consistency bitmap (§3.3). */
+    BlockBitmap *bitmap = nullptr;
+
+    /** Reserved on-disk region [base, end): bitmap home + dummy
+     *  sector; guest access is converted to dummy reads (§3.3). */
+    sim::Lba reservedBase = 0;
+    sim::Lba reservedEnd = 0;
+    /** The dummy sector used for interrupt generation (§3.2). */
+    sim::Lba dummyLba = 0;
+};
+
+/** Mediator statistics (reported by benches/tests). */
+struct MediatorStats
+{
+    std::uint64_t passthroughReads = 0;
+    std::uint64_t passthroughWrites = 0;
+    std::uint64_t redirectedReads = 0;
+    /** Sectors fetched from the server by redirection. */
+    std::uint64_t redirectedSectors = 0;
+    /** Redirections that also required local reads (partial fill). */
+    std::uint64_t mixedRedirects = 0;
+    std::uint64_t vmmOps = 0;
+    /** Guest register writes queued during VMM ops. */
+    std::uint64_t queuedGuestWrites = 0;
+    /** Guest accesses to the reserved region converted to dummies. */
+    std::uint64_t reservedConversions = 0;
+    /** Dummy-sector restarts issued (one per redirected command). */
+    std::uint64_t dummyRestarts = 0;
+};
+
+/** Publish a MediatorStats snapshot into @p reg under "mediator.*"
+ *  metrics labelled @p label (usually the controller kind). */
+void publishMediatorStats(obs::Registry &reg,
+                          const std::string &label,
+                          const MediatorStats &s);
 
 /** How a dummy restart completes (see ControllerPort). */
 enum class RestartMode
@@ -157,17 +249,47 @@ class MediationCore
     void maybeStartPending();
     /// @}
 
-    /** @name DeviceMediator delegation */
+    /** @name VMM entry points (preemption-timer loop, background
+     *  copy, bitmap persistence, de-virtualization) */
     /// @{
+
+    /** Service routine, called from the VMM's preemption-timer poll
+     *  loop: detect VMM-op completions, advance redirections. */
     void poll();
+
+    /**
+     * Multiplex a VMM write of @p count sectors of content
+     * @p contentBase at @p lba.
+     * @retval false the device is not available now; retry later.
+     */
     bool vmmWrite(sim::Lba lba, std::uint32_t count,
                   std::uint64_t contentBase,
                   std::function<void()> done);
+
+    /** Multiplex a VMM read (bitmap reload, verification). */
     bool vmmRead(sim::Lba lba, std::uint32_t count,
                  std::function<void(const std::vector<std::uint64_t> &)>
                      done);
+
+    /** True while a VMM-injected command is pending or in flight. */
     bool vmmOpActive() const;
+
+    /** True when no guest command, redirection, VMM op or queued
+     *  register write is outstanding — the "consistent hardware
+     *  state" de-virtualization waits for (§3.1). */
     bool quiescent() const;
+
+    /**
+     * One-shot callback fired at the next instant the core is fully
+     * quiescent. A guest that is never idle between polls still
+     * quiesces for a moment inside each interrupt acknowledgement;
+     * this hook is how de-virtualization catches that moment (§3.1).
+     */
+    void setQuiesceCallback(std::function<void()> cb)
+    {
+        quiesceCb = std::move(cb);
+    }
+
     /** Drop all in-flight mediation state (power-off model). */
     void reset();
     /// @}
@@ -184,16 +306,8 @@ class MediationCore
         return queuedWrites;
     }
 
-    MediatorStats &stats() { return stats_; }
     const MediatorStats &stats() const { return stats_; }
     const MediatorServices &services() const { return svc; }
-
-    /** One-shot hook fired whenever full quiescence is observed
-     *  (wired to DeviceMediator::notifyQuiescent by front-ends). */
-    void setQuiesceHook(std::function<void()> hook)
-    {
-        quiesceHook = std::move(hook);
-    }
 
   private:
     /** A withheld guest command awaiting redirection. */
@@ -261,12 +375,56 @@ class MediationCore
     sim::Addr bounceBuffer = 0;
     std::uint32_t bounceSectors = 0;
 
-    std::function<void()> quiesceHook;
+    std::function<void()> quiesceCb;
     MediatorStats stats_;
 
     obs::Track obsTrack_;
     std::uint64_t obsSeq_ = 0;     //!< async-id source (redirect/op)
     bool firstFetchNoted_ = false; //!< cor.first_fetch milestone sent
+};
+
+/**
+ * A controller-specific mediation front-end: its hw::IoInterceptor
+ * side decodes the guest's register traffic into core calls, its
+ * ControllerPort side drives the device for the core. It owns the
+ * core, which the VMM drives directly; the VMM needs the front-end
+ * itself only to install and remove the bus intercepts.
+ */
+class MediatorFrontEnd : public sim::SimObject,
+                         public hw::IoInterceptor,
+                         protected ControllerPort
+{
+  public:
+    using sim::SimObject::SimObject;
+
+    /** Install bus intercepts (entering the deployment phase). */
+    virtual void install() = 0;
+
+    /** Remove all intercepts (de-virtualization). Must only be
+     *  called when the core is quiescent(). */
+    virtual void uninstall() = 0;
+
+    /** Abrupt teardown (power failure model): drop all state and
+     *  remove intercepts without the quiescence requirement. */
+    virtual void powerOff() = 0;
+
+    MediationCore &core() { return *core_; }
+
+  protected:
+    /** Build the core once the front-end has carved its structures
+     *  (bounce buffer included) out of the VMM arena, so the arena
+     *  allocation order is the front-end's own. */
+    void
+    buildCore(hw::PhysMem &mem, MediatorServices services,
+              sim::Addr bounceBuffer, std::uint32_t bounceSectors)
+    {
+        ControllerPort &port = *this;
+        core_.emplace(name(), mem, port, std::move(services),
+                      bounceBuffer, bounceSectors);
+    }
+
+  private:
+    std::optional<MediationCore> core_;
 };
 
 } // namespace bmcast

@@ -12,7 +12,7 @@ NvmeMediator::NvmeMediator(sim::EventQueue &eq, std::string name,
                            hw::IoBus &bus_, hw::PhysMem &mem_,
                            hw::MemArena &vmm_arena,
                            MediatorServices services)
-    : sim::SimObject(eq, std::move(name)),
+    : MediatorFrontEnd(eq, std::move(name)),
       bus(bus_), vmmView(bus_, /*guestContext=*/false), mem(mem_),
       sq0(vmm_arena.alloc(sim::Bytes(kVmmQueueDepth) * kSqEntrySize,
                           4096)),
@@ -20,11 +20,9 @@ NvmeMediator::NvmeMediator(sim::EventQueue &eq, std::string name,
                           4096)),
       medBuffer(vmm_arena.alloc(
           sim::Bytes(kMedBufferSectors) * sim::kSectorSize, 4096)),
-      dummyBuffer(vmm_arena.alloc(sim::kSectorSize, 512)),
-      core(this->name(), mem_, *this, std::move(services), medBuffer,
-           kMedBufferSectors)
+      dummyBuffer(vmm_arena.alloc(sim::kSectorSize, 512))
 {
-    core.setQuiesceHook([this]() { notifyQuiescent(); });
+    buildCore(mem_, std::move(services), medBuffer, kMedBufferSectors);
 }
 
 void
@@ -69,13 +67,13 @@ NvmeMediator::install()
     medCqPhase = cqState >> 31;
     outstandingOnDevice = 0;
 
-    core.warmDummy();
+    core().warmDummy();
 }
 
 void
 NvmeMediator::uninstall()
 {
-    sim::panicIfNot(quiescent(),
+    sim::panicIfNot(core().quiescent(),
                     "de-virtualizing a non-quiescent NVMe mediator");
     bus.removeIntercept(IoSpace::Mmio, kBase, kSize);
     installed = false;
@@ -88,7 +86,7 @@ NvmeMediator::powerOff()
         return;
     bus.removeIntercept(IoSpace::Mmio, kBase, kSize);
     installed = false;
-    core.reset();
+    core().reset();
     guestTail = procTail = 0;
     outstandingOnDevice = 0;
     medCqIdx = 0;
@@ -116,9 +114,9 @@ NvmeMediator::interceptWrite(sim::Addr addr, std::uint64_t value,
     auto v = static_cast<std::uint32_t>(value);
     sim::Addr off = addr - kBase;
 
-    if (core.state() == MediationCore::State::VmmActive) {
+    if (core().state() == MediationCore::State::VmmActive) {
         // Exclusive VMM window: everything is queued (§3.2).
-        core.queueGuestWrite(addr, v);
+        core().queueGuestWrite(addr, v);
         return true;
     }
 
@@ -142,11 +140,11 @@ NvmeMediator::interceptWrite(sim::Addr addr, std::uint64_t value,
     }
 
     if (off == sqTailDb(1)) {
-        if (core.state() == MediationCore::State::Passthrough) {
+        if (core().state() == MediationCore::State::Passthrough) {
             onGuestDoorbell(v);
             return true; // forwarding decided per entry
         }
-        core.queueGuestWrite(addr, v);
+        core().queueGuestWrite(addr, v);
         return true;
     }
 
@@ -184,9 +182,9 @@ NvmeMediator::scanSubmissions()
 
         bool fwd;
         if (is_write) {
-            fwd = core.onGuestWrite(procTail, lba, count);
+            fwd = core().onGuestWrite(procTail, lba, count);
         } else {
-            fwd = core.onGuestRead(procTail, lba, count,
+            fwd = core().onGuestRead(procTail, lba, count,
                                    [this, idx = procTail]() {
                                        return guestSg(idx);
                                    });
@@ -204,9 +202,9 @@ NvmeMediator::scanSubmissions()
         outstandingOnDevice += forwarded;
         vmmView.write(IoSpace::Mmio, kBase + sqTailDb(1), procTail, 4);
     }
-    if (core.hasPendingRedirects() &&
-        core.state() == MediationCore::State::Passthrough)
-        core.beginRedirects();
+    if (core().hasPendingRedirects() &&
+        core().state() == MediationCore::State::Passthrough)
+        core().beginRedirects();
 }
 
 void
@@ -235,7 +233,7 @@ NvmeMediator::issueDummyRestart(std::uint32_t key)
     sim::Addr sqe = sq1Base + sim::Addr(key) * kSqEntrySize;
     mem.write8(sqe + kSqeOpcode, kOpRead);
     mem.write64(sqe + kSqePrp1, dummyBuffer);
-    mem.write64(sqe + kSqeSlba, core.services().dummyLba);
+    mem.write64(sqe + kSqeSlba, core().services().dummyLba);
     mem.write16(sqe + kSqeNlb, 0);
 
     ++outstandingOnDevice;

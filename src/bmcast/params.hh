@@ -7,22 +7,9 @@
 #ifndef BMCAST_PARAMS_HH
 #define BMCAST_PARAMS_HH
 
-#include <functional>
-
-#include "netmed/types.hh"
 #include "simcore/types.hh"
 
 namespace bmcast {
-
-/**
- * Deployment-bandwidth token gate: gate(bytes, now) books a fetch of
- * `bytes` against a shared budget and returns the earliest tick the
- * fetch may be issued (>= now). Structurally identical to
- * cloud::RateGate so a cloud::CongestionController lane can be bound
- * here without the data plane linking the control plane; a default-
- * constructed (empty) gate means unshaped — the historical behavior.
- */
-using RateGate = std::function<sim::Tick(sim::Bytes, sim::Tick)>;
 
 /** Background-copy moderation (paper §3.3): three knobs. */
 struct ModerationParams
@@ -62,14 +49,6 @@ struct VmmParams
     /** Sectors per background-copy block (Fig. 14 uses 1024 KB). */
     std::uint32_t copyBlockSectors = 2048;
 
-    /**
-     * When non-zero, background-copy fetches never cross a multiple
-     * of this alignment (the store tier sets it to the chunk size so
-     * every fetch maps to exactly one chunk).  Zero = legacy
-     * unaligned blocks.
-     */
-    std::uint32_t copyFetchAlignSectors = 0;
-
     /** Depth of the retriever->writer FIFO (blocks). */
     std::size_t copyFifoDepth = 8;
 
@@ -91,23 +70,6 @@ struct VmmParams
 
     /** Reserved on-disk region (block bitmap + dummy sector) size. */
     std::uint32_t reservedDiskSectors = 2048;
-
-    /** @name Shared-NIC deployment (paper §6, netmed tier)
-     * When sharedNic is set the VMM initializes no dedicated
-     * management NIC: it mediates the guest's NIC instead and rides
-     * its deployment traffic through the netmed core.
-     */
-    /// @{
-    bool sharedNic = false;
-    netmed::MedMode sharedNicMode = netmed::MedMode::Trap;
-    /** Exitless doorbell page (0 = allocate from the VMM arena). */
-    sim::Addr sharedNicDoorbell = 0;
-    /** Dedicated netmed service interval — the sidecore of the
-     *  exitless path (0 = ride the preemption-timer poll loop). */
-    sim::Tick netmedPollInterval = 0;
-    /** QoS contract for the guest's slot on the shared NIC. */
-    netmed::GuestQos sharedNicQos;
-    /// @}
 
     /** AoE target (shelf/slot) holding this instance's image. */
     std::uint16_t aoeMajor = 0;

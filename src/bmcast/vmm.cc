@@ -5,7 +5,6 @@
 #include "bmcast/ide_mediator.hh"
 #include "bmcast/nvme_mediator.hh"
 #include "hw/disk_store.hh"
-#include "hw/nic_doorbell.hh"
 #include "simcore/logging.hh"
 
 namespace bmcast {
@@ -101,51 +100,12 @@ Vmm::installVmm()
     for (unsigned c = 0; c < machine_.cores(); ++c)
         machine_.vmx().vmxon(c);
 
-    // Network path. Dedicated: only the management NIC is
-    // initialized by the VMM (§3.1); polling mode, interrupts masked
-    // (§4.3). Shared (netmed tier): the VMM mediates the *guest's*
-    // NIC instead and rides its own deployment traffic through the
-    // mediation core's VMM lane, leaving the management port free
-    // (or absent).
+    // Only the dedicated management NIC is initialized by the VMM
+    // (§3.1); polling mode, interrupts masked (§4.3).
     hw::BusView vmm_view(machine_.bus(), /*guestContext=*/false);
-    net::L2Endpoint *l2 = nullptr;
-    if (params_.sharedNic) {
-        netmed_ = std::make_unique<netmed::NetMediationCore>(
-            eventQueue(), name() + ".netmed", machine_.bus(),
-            machine_.mem(), machine_.guestNic(), *arena,
-            params_.sharedNicMode, aoe::kEtherType);
-        netmed::NetMediationCore::GuestConfig gc;
-        gc.qos = params_.sharedNicQos;
-        if (params_.sharedNicMode == netmed::MedMode::Exitless) {
-            gc.doorbell = params_.sharedNicDoorbell
-                              ? params_.sharedNicDoorbell
-                              : arena->alloc(hw::nicdb::kPageSize,
-                                             /*align=*/64);
-            gc.intc = &machine_.intc();
-            gc.irqVector = hw::kGuestNicIrq;
-        }
-        netmed_->addGuest(gc);
-        netmed_->install();
-        if (params_.netmedPollInterval > 0) {
-            // Dedicated sidecore: service the shared-memory
-            // doorbells more often than the preemption timer fires.
-            netmedTimer_ = schedulePeriodic(
-                params_.netmedPollInterval, [this]() {
-                    if (halted || !netmed_ || !netmed_->installed()) {
-                        eventQueue().cancel(netmedTimer_);
-                        return;
-                    }
-                    netmed_->poll();
-                });
-        }
-        l2 = netmed_.get();
-    } else {
-        nicDriver = std::make_unique<hw::E1000Driver>(
-            eventQueue(), name() + ".nic", vmm_view,
-            machine_.mgmtNic(), machine_.mem(), *arena,
-            hw::E1000Driver::Mode::Polling);
-        l2 = nicDriver.get();
-    }
+    nicDriver = std::make_unique<hw::E1000Driver>(
+        eventQueue(), name() + ".nic", vmm_view, machine_.mgmtNic(),
+        machine_.mem(), *arena, hw::E1000Driver::Mode::Polling);
     aoe::InitiatorParams aoe_params;
     aoe_params.major = params_.aoeMajor;
     aoe_params.minor = params_.aoeMinor;
@@ -159,13 +119,9 @@ Vmm::installVmm()
             storeSpec_.fabric->params().shardMaxRetries;
         aoe_params.shardMinTimeout =
             storeSpec_.fabric->params().shardMinTimeout;
-        // Keep background-copy fetch boundaries on chunk edges so
-        // the streamer's pieces cover whole chunks (peer-source
-        // registration needs complete chunks to land).
-        params_.copyFetchAlignSectors = store::kChunkSectors;
     }
     aoe_ = std::make_unique<aoe::AoeInitiator>(
-        eventQueue(), name() + ".aoe", *l2,
+        eventQueue(), name() + ".aoe", *nicDriver,
         serverMacs[serverIdx], aoe_params);
     // Terminal fetch errors: slow the background copy down, tell the
     // observer, fail over to the next server if one exists, and keep
@@ -265,21 +221,24 @@ Vmm::installVmm()
     };
 
     if (machine_.storageKind() == hw::StorageKind::Ide) {
-        mediator_ = std::make_unique<IdeMediator>(
+        frontEnd_ = std::make_unique<IdeMediator>(
             eventQueue(), name() + ".medi", machine_.bus(),
             machine_.mem(), *arena, svc);
     } else if (machine_.storageKind() == hw::StorageKind::Ahci) {
-        mediator_ = std::make_unique<AhciMediator>(
+        frontEnd_ = std::make_unique<AhciMediator>(
             eventQueue(), name() + ".medi", machine_.bus(),
             machine_.mem(), *arena, svc);
     } else {
-        mediator_ = std::make_unique<NvmeMediator>(
+        frontEnd_ = std::make_unique<NvmeMediator>(
             eventQueue(), name() + ".medi", machine_.bus(),
             machine_.mem(), *arena, svc);
     }
 
+    // On the store path, background-copy fetch boundaries stay on
+    // chunk edges so the streamer's pieces cover whole chunks
+    // (peer-source registration needs complete chunks to land).
     copy = std::make_unique<BackgroundCopy>(
-        eventQueue(), name() + ".copy", params_, *mediator_, *bitmap_,
+        eventQueue(), name() + ".copy", params_, mediator(), *bitmap_,
         [this](sim::Lba lba, std::uint32_t count,
                std::function<void(const std::vector<std::uint64_t> &)>
                    done) {
@@ -289,7 +248,8 @@ Vmm::installVmm()
             else
                 aoe_->readSectors(lba, count, std::move(done));
         },
-        imageSectors, [this]() { requestDevirtualization(); });
+        imageSectors, streamer_ ? store::kChunkSectors : 0,
+        [this]() { requestDevirtualization(); });
     if (gate_) {
         // One gate, one charge point per fetch: the streamer shapes
         // pieces on the store path; on the legacy path the retriever
@@ -303,13 +263,13 @@ Vmm::installVmm()
     if (streamer_) {
         // Pristine image content landing locally makes this node a
         // peer source for the covered chunks.
-        copy->setStoreObserver(
+        copy->addWriteObserver(
             [this](sim::Lba lba, std::uint32_t count) {
                 streamer_->noteLocalWrite(lba, count);
             });
     }
 
-    mediator_->install();
+    frontEnd_->install();
     machine_.setProfile(deployProfile());
 
     // Poll loop on the VT-x preemption timer (§4.1); runs from
@@ -343,11 +303,8 @@ Vmm::installVmm()
 void
 Vmm::pollLoop()
 {
-    if (nicDriver)
-        nicDriver->poll();
-    if (netmed_)
-        netmed_->poll();
-    mediator_->poll();
+    nicDriver->poll();
+    mediator().poll();
     if (devirtRequested && !devirtStarted)
         tryDevirtualize();
 }
@@ -366,10 +323,8 @@ Vmm::powerOff()
         streamer_->shutdown();
     if (aoe_)
         aoe_->shutdown();
-    if (netmed_)
-        netmed_->powerOff();
-    if (mediator_)
-        mediator_->powerOff();
+    if (frontEnd_)
+        frontEnd_->powerOff();
     machine_.clearProfile();
     for (unsigned c = 0; c < machine_.cores(); ++c)
         machine_.vmx().vmxoff(c);
@@ -383,7 +338,7 @@ Vmm::requestDevirtualization()
     devirtRequested = true;
     // A never-idle guest quiesces only momentarily inside interrupt
     // acknowledgements; have the mediator call us at that instant.
-    mediator_->setQuiesceCallback([this]() {
+    mediator().setQuiesceCallback([this]() {
         if (devirtRequested && !devirtStarted)
             tryDevirtualize();
     });
@@ -394,8 +349,8 @@ Vmm::tryDevirtualize()
 {
     // Wait for a consistent hardware state (§3.1): no guest command,
     // redirection or VMM command in flight.
-    if (!mediator_->quiescent() || bitmapSaveInFlight) {
-        mediator_->setQuiesceCallback([this]() {
+    if (!mediator().quiescent() || bitmapSaveInFlight) {
+        mediator().setQuiesceCallback([this]() {
             if (devirtRequested && !devirtStarted)
                 tryDevirtualize();
         });
@@ -430,17 +385,13 @@ Vmm::finishDevirtualization()
     // issued I/O meanwhile. Removing the intercepts must happen at a
     // consistent hardware state (§3.1), so wait for the mediator to
     // quiesce again.
-    if (!mediator_->quiescent()) {
-        mediator_->setQuiesceCallback(
+    if (!mediator().quiescent()) {
+        mediator().setQuiesceCallback(
             [this]() { finishDevirtualization(); });
         return;
     }
-    // All CPUs run without nested paging; remove interposition. On
-    // the shared-NIC path the netmed core hands the real rings back
-    // to the guest here — the guest keeps its NIC across the arrow.
-    mediator_->uninstall();
-    if (netmed_)
-        netmed_->uninstall();
+    // All CPUs run without nested paging; remove interposition.
+    frontEnd_->uninstall();
     sim::panicIfNot(!machine_.bus().anyInterceptActive(),
                     "intercepts remain after de-virtualization");
 
@@ -493,7 +444,7 @@ Vmm::persistBitmapAttempt(std::uint64_t token, std::function<void()> done)
 {
     if (halted)
         return;
-    bool ok = mediator_->vmmWrite(bitmapHome, 1, token,
+    bool ok = mediator().vmmWrite(bitmapHome, 1, token,
                                   [this, done]() {
                                       bitmapSaveInFlight = false;
                                       done();
@@ -564,7 +515,7 @@ Vmm::revirtualize(std::function<bool()> guest_idle,
     for (unsigned c = 0; c < machine_.cores(); ++c)
         machine_.vmx().vmxon(c);
 
-    mediator_->install();
+    frontEnd_->install();
     machine_.setProfile(deployProfile());
     devirtRequested = false;
     devirtStarted = false;
@@ -600,8 +551,8 @@ Vmm::devirtualizeAgain(std::function<void()> on_done)
 {
     sim::panicIfNot(phase_ == Phase::Revirtualized,
                     "devirtualizeAgain outside Revirtualized");
-    if (!mediator_->quiescent()) {
-        mediator_->setQuiesceCallback(
+    if (!mediator().quiescent()) {
+        mediator().setQuiesceCallback(
             [this, on_done = std::move(on_done)]() mutable {
                 if (phase_ == Phase::Revirtualized && !halted)
                     devirtualizeAgain(std::move(on_done));
@@ -630,14 +581,14 @@ Vmm::finishDevirtualizeAgain(std::function<void()> on_done)
 {
     // Same consistency rule as the original de-virtualization: the
     // guest may have issued I/O while the CPUs switched.
-    if (!mediator_->quiescent()) {
-        mediator_->setQuiesceCallback(
+    if (!mediator().quiescent()) {
+        mediator().setQuiesceCallback(
             [this, on_done = std::move(on_done)]() mutable {
                 finishDevirtualizeAgain(std::move(on_done));
             });
         return;
     }
-    mediator_->uninstall();
+    frontEnd_->uninstall();
     sim::panicIfNot(!machine_.bus().anyInterceptActive(),
                     "intercepts remain after re-devirtualization");
     machine_.clearProfile();
@@ -658,7 +609,7 @@ Vmm::tryRestoreBitmap(std::function<void(bool)> done)
 void
 Vmm::tryRestoreBitmapAttempt(std::function<void(bool)> done)
 {
-    bool ok = mediator_->vmmRead(
+    bool ok = mediator().vmmRead(
         bitmapHome, 1,
         [this, done](const std::vector<std::uint64_t> &tokens) {
             bool restored = false;

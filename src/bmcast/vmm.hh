@@ -32,11 +32,10 @@
 #include "aoe/initiator.hh"
 #include "bmcast/background_copy.hh"
 #include "bmcast/block_bitmap.hh"
-#include "bmcast/mediator.hh"
+#include "bmcast/mediation_core.hh"
 #include "bmcast/params.hh"
 #include "hw/e1000_driver.hh"
 #include "hw/machine.hh"
-#include "netmed/net_mediation_core.hh"
 #include "obs/obs.hh"
 #include "simcore/sim_object.hh"
 #include "store/streamer.hh"
@@ -105,7 +104,7 @@ class Vmm : public sim::SimObject
      * Copy-on-read guest faults stay unshaped. Unset = historical
      * behavior.
      */
-    void setRateGate(RateGate g) { gate_ = std::move(g); }
+    void setRateGate(sim::RateGate g) { gate_ = std::move(g); }
 
     /**
      * Network-boot the VMM (Initialization phase); @p ready fires
@@ -149,9 +148,8 @@ class Vmm : public sim::SimObject
 
     BlockBitmap &bitmap() { return *bitmap_; }
     BackgroundCopy &backgroundCopy() { return *copy; }
-    DeviceMediator &mediator() { return *mediator_; }
-    /** Shared-NIC mediation core (nullptr on the dedicated path). */
-    netmed::NetMediationCore *netmed() { return netmed_.get(); }
+    /** The storage mediation core (valid once installed). */
+    MediationCore &mediator() { return frontEnd_->core(); }
     aoe::AoeInitiator &initiator() { return *aoe_; }
     hw::Machine &machine() { return machine_; }
     const VmmParams &params() const { return params_; }
@@ -251,16 +249,13 @@ class Vmm : public sim::SimObject
 
     std::unique_ptr<hw::MemArena> arena;
     std::unique_ptr<hw::E1000Driver> nicDriver;
-    std::unique_ptr<netmed::NetMediationCore> netmed_;
-    /** Sidecore service timer (exitless netmed fast path). */
-    sim::EventId netmedTimer_{};
     std::unique_ptr<aoe::AoeInitiator> aoe_;
     std::unique_ptr<BlockBitmap> bitmap_;
-    std::unique_ptr<DeviceMediator> mediator_;
+    std::unique_ptr<MediatorFrontEnd> frontEnd_;
     std::unique_ptr<BackgroundCopy> copy;
     store::DeploySpec storeSpec_;
     std::unique_ptr<store::ChunkStreamer> streamer_;
-    RateGate gate_;
+    sim::RateGate gate_;
 
     sim::Lba bitmapHome = 0;
     sim::Lba dummy = 0;

@@ -71,7 +71,7 @@ TEST_P(FailoverAt, PrimaryCrashMidStreamCompletesFromSecondary)
             // filledCount() includes the pre-marked beyond-image
             // region; progress is measured relative to this baseline.
             baseFilled = vmm.bitmap().filledCount();
-            vmm.backgroundCopy().setWriteObserver(
+            vmm.backgroundCopy().addWriteObserver(
                 [&](sim::Lba lba, std::uint32_t n) {
                     for (std::uint32_t i = 0; i < n; ++i) {
                         if (lba + i < o.imageSectors &&

@@ -422,17 +422,11 @@ TEST(MediationCore, ReservedRegionAccessConvertsToDummy)
     EXPECT_TRUE(r.bitmap.isFilled(300, 8));
 }
 
-TEST(MediationCore, QuiesceHookFiresOnlyWhenFullyQuiescent)
+TEST(MediationCore, QuiesceCallbackFiresOnceWhenFullyQuiescent)
 {
     CoreRig r;
     int fires = 0;
-    bool armed = true; // DeviceMediator::notifyQuiescent is one-shot
-    r.core->setQuiesceHook([&] {
-        if (armed) {
-            armed = false;
-            ++fires;
-        }
-    });
+    r.core->setQuiesceCallback([&] { ++fires; });
 
     // Busy guest: no fire.
     r.port.guestOutstanding = 1;
@@ -452,8 +446,15 @@ TEST(MediationCore, QuiesceHookFiresOnlyWhenFullyQuiescent)
     r.core->poll(); // retires the redirect AND observes quiescence
     r.core->poll();
     r.core->poll();
-    EXPECT_EQ(fires, 1);
     EXPECT_TRUE(r.core->quiescent());
+    // One-shot: later quiescent polls do not fire it again.
+    EXPECT_EQ(fires, 1);
+
+    // Re-arming fires at the next quiescent poll, once.
+    r.core->setQuiesceCallback([&] { ++fires; });
+    r.core->poll();
+    r.core->poll();
+    EXPECT_EQ(fires, 2);
 }
 
 TEST(MediationCore, ResetDropsAllStateAndStaleFetchesAreIgnored)
