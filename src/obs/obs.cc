@@ -3,12 +3,12 @@
 namespace obs {
 
 namespace detail {
-thread_local bool gArmed = false;
-thread_local Tracer *gTracer = nullptr;
-thread_local sim::Tick (*gClockFn)(const void *) = nullptr;
-thread_local const void *gClockCtx = nullptr;
-thread_local Registry *gMetrics = nullptr;
-thread_local std::uint64_t gMetricsEpoch = 0;
+constinit thread_local bool gArmed = false;
+constinit thread_local Tracer *gTracer = nullptr;
+constinit thread_local ClockFn gClockFn = nullptr;
+constinit thread_local const void *gClockCtx = nullptr;
+constinit thread_local Registry *gMetrics = nullptr;
+constinit thread_local std::uint64_t gMetricsEpoch = 0;
 } // namespace detail
 
 void

@@ -43,12 +43,16 @@ namespace detail {
 // arm one tracer per shard worker and record concurrently with no
 // synchronization on the probe path. Single-threaded use is
 // unchanged — arm and probe happen on the same thread.
-extern thread_local bool gArmed;
-extern thread_local Tracer *gTracer;
-extern thread_local sim::Tick (*gClockFn)(const void *);
-extern thread_local const void *gClockCtx;
-extern thread_local Registry *gMetrics;
-extern thread_local std::uint64_t gMetricsEpoch;
+// constinit: every thread-local is constant-initialized, so other
+// translation units read it directly instead of through the
+// thread_local wrapper function (which UBSan flags as a null load).
+using ClockFn = sim::Tick (*)(const void *);
+extern constinit thread_local bool gArmed;
+extern constinit thread_local Tracer *gTracer;
+extern constinit thread_local ClockFn gClockFn;
+extern constinit thread_local const void *gClockCtx;
+extern constinit thread_local Registry *gMetrics;
+extern constinit thread_local std::uint64_t gMetricsEpoch;
 } // namespace detail
 
 /** True when a tracer is installed on this thread. The only cost a
