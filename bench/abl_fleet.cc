@@ -460,7 +460,7 @@ main(int argc, char **argv)
     const bool pin_flash = smoke && nodes == 32 && tenants == 4;
     Scenario flash = runScenario(
         "flash_crowd (shaped)", shard_counts,
-        pin_flash ? 0x3cec7e7a2d4bbbf5ULL : 0, [&](unsigned s) {
+        pin_flash ? 0x169ca6d2d0d29ae5ULL : 0, [&](unsigned s) {
             return flashCrowd(smoke, nodes, tenants, s, true);
         });
     const RunOut &shaped = flash.sweep.runs[0];
@@ -494,19 +494,19 @@ main(int argc, char **argv)
 
     Scenario roll = runScenario(
         "rolling_reimage", small_counts,
-        smoke ? 0xd3767d2a39d4f310ULL : 0,
+        smoke ? 0x867b34db960025e4ULL : 0,
         [&](unsigned s) { return rolling(smoke, s); });
     printScenario(roll);
 
     Scenario spot = runScenario(
         "spot_reclaim", small_counts,
-        smoke ? 0xbf632d47f5086f05ULL : 0,
+        smoke ? 0x86bd6c4cfdb1820dULL : 0,
         [&](unsigned s) { return spotReclaim(smoke, s); });
     printScenario(spot);
 
     Scenario outage = runScenario(
         "rack_outage", small_counts,
-        smoke ? 0x6f8f39dba1d8f6adULL : 0,
+        smoke ? 0xb08f8dccbf818878ULL : 0,
         [&](unsigned s) { return rackOutage(smoke, s); });
     printScenario(outage);
 

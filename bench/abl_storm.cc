@@ -45,7 +45,7 @@ namespace {
 
 constexpr sim::Tick kDeadline = 4000 * sim::kSec;
 /** The default smoke storm's fingerprint (512 nodes, 8-MiB image). */
-constexpr std::uint64_t kSmokePin = 0xaf6bfd23cd1fd5c8ULL;
+constexpr std::uint64_t kSmokePin = 0x94e6b660ac93564eULL;
 
 struct StormRun
 {

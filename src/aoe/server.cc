@@ -50,6 +50,7 @@ AoeServer::crash()
     ++numCrashes;
     queue.clear();
     assemblies.clear();
+    liveReads.clear();
     if (obs::armed()) {
         obs::Tracer &t = obs::tracer();
         t.milestone(obsTrack_.id(t), "server.crash", now(),
@@ -120,6 +121,15 @@ AoeServer::onFrame(const net::Frame &frame)
     if (!parsed || parsed->response)
         return;
     Message m = std::move(*parsed);
+
+    if (m.command == kCmdAta && !m.isWrite()) {
+        auto live = liveReads.find(RxKey{frame.src, m.tag});
+        if (live != liveReads.end() && live->second.lba == m.lba &&
+            live->second.totalSectors == m.totalSectors) {
+            ++numDupsSuppressed;
+            return;
+        }
+    }
 
     if (m.command == kCmdAta && m.isWrite()) {
         // Reassemble write fragments; the job is enqueued when the
@@ -248,12 +258,22 @@ AoeServer::serve(unsigned worker, Job job)
         t.asyncEnd(track, "server", what, id, end);
     };
 
+    // @p endsLiveRead marks a legacy read's last fragment: sending
+    // it retires the read's liveReads entry (unless a newer request
+    // under the same tag replaced it).
     auto send_at = [this](sim::Tick when, Message resp,
-                          net::MacAddr dst) {
+                          net::MacAddr dst, bool endsLiveRead = false) {
         eventQueue().scheduleAt(
-            when, [this, e = epoch_, resp = std::move(resp), dst]() {
+            when, [this, e = epoch_, resp = std::move(resp), dst,
+                   endsLiveRead]() {
                 if (epoch_ != e)
                     return; // crashed since; response lost
+                if (endsLiveRead) {
+                    auto it = liveReads.find(RxKey{dst, resp.tag});
+                    if (it != liveReads.end() &&
+                        it->second.lastFragment == now())
+                        liveReads.erase(it);
+                }
                 port.send(toFrame(resp, dst));
             });
     };
@@ -360,7 +380,6 @@ AoeServer::serve(unsigned worker, Job job)
         rate * static_cast<double>(sim::kSec));
     sim::Tick first_block =
         disk_done > transfer ? disk_done - transfer : disk_done;
-    unsigned frag_no = 0;
     for (std::uint32_t off = 0; off < count; off += per_frame) {
         std::uint32_t n = std::min(per_frame, count - off);
         Message frag = resp;
@@ -382,7 +401,6 @@ AoeServer::serve(unsigned worker, Job job)
                 ++numShardCorruptions;
             }
         }
-        ++frag_no;
         sim::Tick data_ready =
             cache_hit ? disk_done
                       : first_block +
@@ -392,8 +410,12 @@ AoeServer::serve(unsigned worker, Job job)
                                     sim::kSectorSize) /
                                 rate * static_cast<double>(sim::kSec));
         t = std::max(t, data_ready) + params_.cpuPerFragment;
-        send_at(t, std::move(frag), job.client);
+        send_at(t, std::move(frag), job.client,
+                !shard && off + n == count);
     }
+    if (!shard)
+        liveReads[RxKey{job.client, req.tag}] =
+            LiveRead{req.lba, count, t};
     workerFreeAt[worker] = t;
     busyTime += params_.cpuPerRequest +
                 sim::Tick((count + per_frame - 1) / per_frame) *

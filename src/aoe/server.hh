@@ -104,6 +104,9 @@ class AoeServer : public sim::SimObject
     std::uint64_t shardTimeouts() const { return numShardTimeouts; }
     /** Shard fragments damaged by an injected corruption. */
     std::uint64_t shardCorruptions() const { return numShardCorruptions; }
+    /** Re-sent legacy read requests dropped because the original's
+     *  response was still going out. */
+    std::uint64_t duplicatesSuppressed() const { return numDupsSuppressed; }
     /// @}
 
     /** @name Failure model */
@@ -139,8 +142,16 @@ class AoeServer : public sim::SimObject
         net::MacAddr client;
     };
 
-    /** Write-reassembly key. */
+    /** Write-reassembly / live-read key: (client MAC, tag). */
     using RxKey = std::pair<net::MacAddr, std::uint32_t>;
+
+    /** A legacy read whose response fragments are still going out. */
+    struct LiveRead
+    {
+        sim::Lba lba = 0;
+        std::uint32_t totalSectors = 0;
+        sim::Tick lastFragment = 0;
+    };
 
     struct WriteAssembly
     {
@@ -170,6 +181,15 @@ class AoeServer : public sim::SimObject
     sim::Tick diskFreeAt = 0;
     sim::Lba diskHead = 0;
     std::map<RxKey, WriteAssembly> assemblies;
+    /**
+     * kCmdAta reads being answered. A re-request of the same read
+     * (the initiator timed out while the original sat behind the
+     * disk) is dropped until the last fragment leaves; the one
+     * re-sent after it is served, so loss recovery still works.
+     * Shard reads are exempt: their short budget and reroute, not a
+     * duplicate, decide how a slow source is handled.
+     */
+    std::map<RxKey, LiveRead> liveReads;
 
     /**
      * Liveness epoch: bumped on every crash.  Response and write-back
@@ -190,6 +210,7 @@ class AoeServer : public sim::SimObject
     std::uint64_t offlineDrops = 0;
     std::uint64_t numShardTimeouts = 0;
     std::uint64_t numShardCorruptions = 0;
+    std::uint64_t numDupsSuppressed = 0;
 
     obs::Track obsTrack_;
 };

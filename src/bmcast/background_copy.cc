@@ -87,6 +87,7 @@ void
 BackgroundCopy::stop()
 {
     running = false;
+    retrieved.clear();
     stopSuspendPoll();
 }
 
@@ -113,8 +114,8 @@ BackgroundCopy::noteGuestIo(bool is_write, std::uint32_t sectors)
     (void)is_write;
     (void)sectors;
     guestIoRate.record(now());
-    // Seek locality (§3.3): continue copying near the guest's last
-    // access. The retriever picks this up on its next block.
+    // Only the moderation rate: the cursor follows the guest through
+    // stashFetched(), not here.
 }
 
 void
@@ -160,23 +161,18 @@ BackgroundCopy::retrieverLoop()
     if (fifo.size() >= params.copyFifoDepth)
         return; // writer drains, then re-kicks us
 
-    // Pick the next EMPTY block at/after the cursor, wrapping once.
-    auto next = bitmap.firstEmpty(cursor);
-    if (!next || *next >= imageSectors)
-        next = bitmap.firstEmpty(0);
-    if (!next || *next >= imageSectors) {
+    // Pick the next block to fetch at/after the cursor, wrapping
+    // once. Nothing left may still mean ranges are queued, not done.
+    auto block = nextToFetch(cursor);
+    if (!block)
+        block = nextToFetch(0);
+    if (!block) {
         checkComplete();
         return;
     }
-    sim::Lba lba = *next;
-    auto block = bitmap.firstEmptyRange(
-        lba, std::min<std::uint64_t>(params.copyBlockSectors,
-                                     imageSectors - lba));
-    sim::panicIfNot(block.has_value(),
-                    "firstEmpty disagrees with gaps");
+    sim::Lba lba = block->first;
     auto count =
         static_cast<std::uint32_t>(block->second - block->first);
-    lba = block->first;
     if (fetchAlign) {
         // Trim a boundary-crossing fetch so it ends on an alignment
         // boundary: successors then start chunk-aligned and the store
@@ -188,6 +184,7 @@ BackgroundCopy::retrieverLoop()
             count = static_cast<std::uint32_t>(aligned_end - lba);
     }
     cursor = lba + count;
+    retrieved.insert(lba, lba + count);
 
     retrieverBusy = true;
     if (gate_) {
@@ -209,6 +206,24 @@ BackgroundCopy::retrieverLoop()
         }
     }
     issueFetch(lba, count);
+}
+
+std::optional<sim::IntervalSet::Range>
+BackgroundCopy::nextToFetch(sim::Lba from) const
+{
+    std::optional<sim::IntervalSet::Range> pick;
+    if (from >= imageSectors)
+        return pick;
+    bitmap.forEachEmpty(
+        from, imageSectors - from, [&](sim::Lba s, sim::Lba e) {
+            retrieved.forEachGap(s, e, [&](sim::Lba gs, sim::Lba ge) {
+                pick.emplace(gs, std::min<sim::Lba>(
+                                     ge, gs + params.copyBlockSectors));
+                return false;
+            });
+            return !pick;
+        });
+    return pick;
 }
 
 void
@@ -328,6 +343,7 @@ BackgroundCopy::tryWriteHead()
             // FILLED only at completion: until the data is on disk,
             // reads must keep going to the server.
             bitmap.markFilled(b.lba, b.count);
+            retrieved.erase(b.lba, b.lba + b.count);
             written += sim::Bytes(b.count) * sim::kSectorSize;
             roundBudget = roundBudget > b.count
                               ? roundBudget - b.count

@@ -12,11 +12,18 @@
  *    it sleeps for the suspend interval, otherwise it writes one
  *    block per write interval.
  *
- * Blocks are filled from low to high LBA, but the cursor follows the
- * guest's last access to minimize seeks. The consistency rule: the
- * writer claims a block against the bitmap immediately before
- * writing; any block the guest wrote (marked FILLED at command
- * issue) is skipped.
+ * Blocks are filled from low to high LBA, but copy-on-read data
+ * handed over by stashFetched() moves the cursor past the guest's
+ * read, so the retriever continues where the guest is reading. The
+ * consistency rule: the writer claims a block against the bitmap
+ * immediately before writing; any block the guest wrote (marked
+ * FILLED at command issue) is skipped.
+ *
+ * Every image byte is fetched once: a block stays EMPTY in the
+ * bitmap until its write completes, so the retriever also remembers
+ * the ranges it has fetched or is fetching and never re-picks them
+ * while they wait in the FIFO, even when the cursor moves back over
+ * them or the pick wraps.
  */
 
 #ifndef BMCAST_BACKGROUND_COPY_HH
@@ -24,6 +31,7 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "bmcast/block_bitmap.hh"
@@ -126,6 +134,9 @@ class BackgroundCopy : public sim::SimObject
     };
 
     void retrieverLoop();
+    /** The first block of [from, imageSectors) that is EMPTY and not
+     *  already retrieved, at most one copy block long. */
+    std::optional<sim::IntervalSet::Range> nextToFetch(sim::Lba from) const;
     /** Issue the fetch the retriever picked (after any gate delay). */
     void issueFetch(sim::Lba lba, std::uint32_t count);
     void writerWake();
@@ -153,6 +164,11 @@ class BackgroundCopy : public sim::SimObject
     std::function<void()> onComplete;
 
     std::deque<Block> fifo;
+    /** Ranges the retriever has fetched or is fetching whose write
+     *  has not completed (in flight, in the FIFO, or being written).
+     *  Ranges a guest write FILLED meanwhile may linger; the bitmap
+     *  rules them out anyway. */
+    sim::IntervalSet retrieved;
     /** Copy-on-read persistence queue (drained with priority by the
      *  writer thread; §3.1 Fig. 1b). */
     std::deque<Block> stashQueue;

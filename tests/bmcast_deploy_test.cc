@@ -130,6 +130,38 @@ TEST_P(DeployTest, GuestWriteSurvivesBackgroundCopy)
         EXPECT_EQ(got[i], hw::sectorToken(my_base, lba + i));
 }
 
+TEST_P(DeployTest, ServerSendsEachImageByteOnce)
+{
+    RigOptions opt;
+    opt.storage = GetParam();
+    // Small enough that the retriever reaches every range the guest
+    // read before that range's copy-on-read stash lands, so the
+    // retriever fetches the whole image.
+    opt.imageSectors = (16 * sim::kMiB) / sim::kSectorSize;
+    Rig rig(opt);
+
+    bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
+                               *rig.guest, kServerMac,
+                               opt.imageSectors, rig.fastVmmParams(),
+                               false);
+    dep.run([]() {});
+    ASSERT_TRUE(runUntil(rig.eq, 4000 * sim::kSec,
+                         [&]() { return dep.bareMetalReached(); }));
+
+    // Fault-free: every image sector crosses the wire once for the
+    // copy, plus once more per redirected guest read. A re-fetched
+    // queued range or a served duplicate request would show up as
+    // surplus bytes.
+    const sim::Bytes redirected =
+        sim::Bytes(dep.vmm().mediator().stats().redirectedSectors) *
+        sim::kSectorSize;
+    EXPECT_GT(redirected, 0u);
+    EXPECT_EQ(rig.server->dataBytesOut(),
+              sim::Bytes(opt.imageSectors) * sim::kSectorSize +
+                  redirected);
+    EXPECT_EQ(rig.server->duplicatesSuppressed(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllControllers, DeployTest,
                          ::testing::Values(hw::StorageKind::Ide,
                                            hw::StorageKind::Ahci,

@@ -131,7 +131,7 @@ TEST(Failover, SoleServerCrashAutoRestartRecovers)
 
     sim::FaultInjector fi(99);
     sim::SitePlan crash;
-    crash.fireOn = {30}; // 30th request mid-stream
+    crash.fireOn = {15}; // 15th request mid-stream
     crash.magnitude = 500 * sim::kMs; // supervisor restart delay
     fi.arm(FaultSite::ServerCrash, crash);
     rig.attachInjector(fi);

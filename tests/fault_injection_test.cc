@@ -270,7 +270,7 @@ const ChaosPlan kChaosPlans[] = {
     {"ServerStalls",
      [](sim::FaultInjector &fi) {
          sim::SitePlan stall;
-         stall.fireOn = {5, 25};
+         stall.fireOn = {5, 15};
          stall.magnitude = 50 * sim::kMs;
          fi.arm(FaultSite::ServerStall, stall);
      },

@@ -337,4 +337,125 @@ TEST(AoeServer, ThreadPoolOutperformsSingleThread)
     EXPECT_LT(pooled, single);
 }
 
+// --- Server-side duplicate suppression (legacy reads only) ---
+
+/** A bare client port that sends hand-built request frames. */
+struct RawAoeWorld
+{
+    RawAoeWorld()
+        : lan(eq, "lan"),
+          sport(lan.attach(kServer, {1e9, 9000, 0.0})),
+          cport(lan.attach(kClient, {1e9, 9000, 0.0})),
+          server(eq, "server", sport)
+    {
+        server.addTarget(0, 0, kCap, kBase);
+        cport.onReceive([this](const net::Frame &f) {
+            auto m = aoe::parse(f);
+            if (m && m->response)
+                sectorsIn += m->data.size();
+        });
+    }
+
+    /** Send a read request for [lba, lba+count) under @p tag at
+     *  @p when. */
+    void
+    readAt(sim::Tick when, std::uint32_t tag, sim::Lba lba,
+           std::uint32_t count,
+           std::uint8_t command = aoe::kCmdAta)
+    {
+        aoe::Message m;
+        m.tag = tag;
+        m.command = command;
+        m.ataCmd = 0x25;
+        m.lba = lba;
+        m.sectors = static_cast<std::uint16_t>(count);
+        m.totalSectors = count;
+        eq.scheduleAt(when, [this, m]() {
+            cport.send(aoe::toFrame(m, kServer));
+        });
+    }
+
+    static constexpr net::MacAddr kServer = 1;
+    static constexpr net::MacAddr kClient = 2;
+    static constexpr sim::Lba kCap = 1 << 20;
+    static constexpr std::uint64_t kBase = 0xBEEF000000000001ULL;
+    static constexpr std::uint32_t kCount = 2048;
+    static constexpr sim::Bytes kBytes = sim::Bytes(kCount) * 512;
+
+    sim::EventQueue eq;
+    net::Network lan;
+    net::Port &sport;
+    net::Port &cport;
+    aoe::AoeServer server;
+    std::uint64_t sectorsIn = 0;
+};
+
+TEST(AoeServerDuplicates, ReadResentMidStreamIsServedOnce)
+{
+    RawAoeWorld w;
+    w.readAt(0, 7, 0, RawAoeWorld::kCount);
+    // The 1 MiB response takes milliseconds to stream out.
+    w.readAt(1 * sim::kMs, 7, 0, RawAoeWorld::kCount);
+    w.eq.run();
+    EXPECT_EQ(w.server.requestsServed(), 1u);
+    EXPECT_EQ(w.server.dataBytesOut(), RawAoeWorld::kBytes);
+    EXPECT_EQ(w.server.duplicatesSuppressed(), 1u);
+    EXPECT_EQ(w.sectorsIn, RawAoeWorld::kCount);
+}
+
+TEST(AoeServerDuplicates, ReadResentAfterLastFragmentIsServedAgain)
+{
+    RawAoeWorld w;
+    w.readAt(0, 7, 0, RawAoeWorld::kCount);
+    w.eq.run();
+    // A re-request after the response left is a loss recovery.
+    w.readAt(w.eq.now() + 1 * sim::kMs, 7, 0, RawAoeWorld::kCount);
+    w.eq.run();
+    EXPECT_EQ(w.server.requestsServed(), 2u);
+    EXPECT_EQ(w.server.dataBytesOut(), 2 * RawAoeWorld::kBytes);
+    EXPECT_EQ(w.server.duplicatesSuppressed(), 0u);
+    EXPECT_EQ(w.sectorsIn, 2 * RawAoeWorld::kCount);
+}
+
+TEST(AoeServerDuplicates, SameTagDifferentLbaIsServed)
+{
+    RawAoeWorld w;
+    w.readAt(0, 7, 0, RawAoeWorld::kCount);
+    w.readAt(1 * sim::kMs, 7, 4096, RawAoeWorld::kCount);
+    w.eq.run();
+    EXPECT_EQ(w.server.requestsServed(), 2u);
+    EXPECT_EQ(w.server.dataBytesOut(), 2 * RawAoeWorld::kBytes);
+    EXPECT_EQ(w.server.duplicatesSuppressed(), 0u);
+}
+
+TEST(AoeServerDuplicates, ShardReadResentMidStreamIsServedTwice)
+{
+    RawAoeWorld w;
+    w.readAt(0, 7, 0, RawAoeWorld::kCount, aoe::kCmdShardRead);
+    w.readAt(1 * sim::kMs, 7, 0, RawAoeWorld::kCount,
+             aoe::kCmdShardRead);
+    w.eq.run();
+    EXPECT_EQ(w.server.requestsServed(), 2u);
+    EXPECT_EQ(w.server.dataBytesOut(), 2 * RawAoeWorld::kBytes);
+    EXPECT_EQ(w.server.duplicatesSuppressed(), 0u);
+}
+
+TEST(AoeServerDuplicates, CrashForgetsReadsInFlight)
+{
+    RawAoeWorld w;
+    w.readAt(0, 7, 0, RawAoeWorld::kCount);
+    w.eq.scheduleAt(1 * sim::kMs, [&w]() { w.server.crash(); });
+    w.eq.scheduleAt(2 * sim::kMs, [&w]() { w.server.restart(); });
+    w.eq.run();
+    const std::uint64_t before = w.sectorsIn;
+    EXPECT_LT(before, RawAoeWorld::kCount) << "a crash cuts the response";
+    // The lost read's last fragment never went out, so only crash()
+    // can have forgotten it: the re-request is served.
+    w.readAt(w.eq.now() + 1 * sim::kMs, 7, 0, RawAoeWorld::kCount);
+    w.eq.run();
+    EXPECT_EQ(w.server.requestsServed(), 2u);
+    EXPECT_EQ(w.server.duplicatesSuppressed(), 0u);
+    EXPECT_EQ(w.sectorsIn - before, RawAoeWorld::kCount);
+}
+
 } // namespace
