@@ -64,6 +64,7 @@ main()
         sim::Lba cold = (16ULL * sim::kGiB) / sim::kSectorSize;
         rows.emplace_back("Deploy",
                           runIoping(tb, tb.guest().blk(), cold));
+        tb.noteMediator("Deploy", dep.vmm().mediator());
     }
     {
         sim::Lba small = (2 * sim::kGiB) / sim::kSectorSize;
