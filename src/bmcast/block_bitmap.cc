@@ -63,18 +63,6 @@ BlockBitmap::emptyRanges(sim::Lba lba, std::uint64_t count) const
     return filled.gaps(lba, lba + count);
 }
 
-std::optional<sim::IntervalSet::Range>
-BlockBitmap::firstEmptyRange(sim::Lba lba, std::uint64_t count) const
-{
-    std::optional<sim::IntervalSet::Range> first;
-    filled.forEachGap(lba, lba + count,
-                      [&first](sim::Lba s, sim::Lba e) {
-                          first.emplace(s, e);
-                          return false; // only the first range
-                      });
-    return first;
-}
-
 bool
 BlockBitmap::claimForVmmWrite(sim::Lba lba, std::uint64_t count) const
 {

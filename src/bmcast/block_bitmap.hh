@@ -66,11 +66,6 @@ class BlockBitmap
                           std::forward<Visitor>(visit));
     }
 
-    /** First EMPTY sub-range of [lba, lba+count), if any;
-     *  allocation-free. */
-    std::optional<sim::IntervalSet::Range>
-    firstEmptyRange(sim::Lba lba, std::uint64_t count) const;
-
     /**
      * Atomic check for the background writer: true (and the caller
      * may write) only if the whole block is still EMPTY. Does NOT
