@@ -215,12 +215,12 @@ struct Testbed
     bool
     runUntil(sim::Tick deadline, Pred &&pred)
     {
-        while (!pred()) {
-            if (eq.now() > deadline || eq.empty())
-                return pred();
-            eq.step();
-        }
-        return true;
+        bool met = false;
+        eq.stepWhile([&]() {
+            met = pred();
+            return !met && eq.now() <= deadline;
+        });
+        return met || pred();
     }
 
     sim::Lba imageSectors;

@@ -162,10 +162,23 @@ BackgroundCopy::retrieverLoop()
         return; // writer drains, then re-kicks us
 
     // Pick the next block to fetch at/after the cursor, wrapping
-    // once. Nothing left may still mean ranges are queued, not done.
-    auto block = nextToFetch(cursor);
+    // once; with a pick filter, first among the units it accepts.
+    // Nothing left may still mean ranges are queued, not done.
+    auto pick = [this](bool filtered) {
+        auto b = nextToFetch(cursor, imageSectors, filtered);
+        return b ? b : nextToFetch(0, cursor, filtered);
+    };
+    std::optional<sim::IntervalSet::Range> block;
+    if (pickFilter) {
+        block = pick(true);
+        // Take rejected units only once the writer has run dry (its
+        // next write re-kicks us): by then most have landed on a
+        // peer.
+        if (!block && !fifo.empty())
+            return;
+    }
     if (!block)
-        block = nextToFetch(0);
+        block = pick(false);
     if (!block) {
         checkComplete();
         return;
@@ -209,19 +222,43 @@ BackgroundCopy::retrieverLoop()
 }
 
 std::optional<sim::IntervalSet::Range>
-BackgroundCopy::nextToFetch(sim::Lba from) const
+BackgroundCopy::nextToFetch(sim::Lba from, sim::Lba to,
+                            bool filtered) const
 {
     std::optional<sim::IntervalSet::Range> pick;
-    if (from >= imageSectors)
+    if (from >= to)
         return pick;
+    auto unit_end = [this](sim::Lba x) {
+        return (x / fetchAlign + 1) * fetchAlign;
+    };
+    bool past = false; // the scan reached `to`
     bitmap.forEachEmpty(
         from, imageSectors - from, [&](sim::Lba s, sim::Lba e) {
             retrieved.forEachGap(s, e, [&](sim::Lba gs, sim::Lba ge) {
-                pick.emplace(gs, std::min<sim::Lba>(
-                                     ge, gs + params.copyBlockSectors));
+                // Skip the units the filter rejects; the block ends
+                // at the next rejected one.
+                sim::Lba pos = gs;
+                while (filtered && pos < ge && pos < to &&
+                       !pickFilter(pos - pos % fetchAlign))
+                    pos = unit_end(pos);
+                past = pos >= to;
+                if (past || pos >= ge)
+                    return !past;
+                sim::Lba end = std::min<sim::Lba>(
+                    ge, pos + params.copyBlockSectors);
+                if (filtered) {
+                    for (sim::Lba u = unit_end(pos); u < end;
+                         u = unit_end(u)) {
+                        if (!pickFilter(u)) {
+                            end = u;
+                            break;
+                        }
+                    }
+                }
+                pick.emplace(pos, end);
                 return false;
             });
-            return !pick;
+            return !pick && !past;
         });
     return pick;
 }

@@ -24,6 +24,12 @@
  * the ranges it has fetched or is fetching and never re-picks them
  * while they wait in the FIFO, even when the cursor moves back over
  * them or the pick wraps.
+ *
+ * An optional pick filter orders work across the nodes of a deploy
+ * wave: the retriever first takes the first run of fetch-alignment
+ * units the filter accepts (cursor, then wrap). Only when none is
+ * left and the FIFO has run dry does it fall back to the unfiltered
+ * pick, so a filter can delay a range but never strand it.
  */
 
 #ifndef BMCAST_BACKGROUND_COPY_HH
@@ -37,6 +43,7 @@
 #include "bmcast/block_bitmap.hh"
 #include "bmcast/params.hh"
 #include "obs/obs.hh"
+#include "simcore/logging.hh"
 #include "simcore/sim_object.hh"
 #include "simcore/stats.hh"
 
@@ -86,6 +93,19 @@ class BackgroundCopy : public sim::SimObject
      */
     void setRateGate(sim::RateGate g) { gate_ = std::move(g); }
 
+    /**
+     * Prefer ranges whose fetch-alignment unit (identified by its
+     * first LBA) @p accept takes. The VMM binds the store tier's
+     * claim check here; unset = the plain cursor-then-wrap pick.
+     * Needs a non-zero fetch alignment.
+     */
+    using PickFilter = std::function<bool(sim::Lba unit)>;
+    void setPickFilter(PickFilter accept)
+    {
+        sim::panicIfNot(fetchAlign != 0, "pick filter without units");
+        pickFilter = std::move(accept);
+    }
+
     /** Live-tune the write interval (Fig. 14 sweep). */
     void setWriteInterval(sim::Tick t) { mod.vmmWriteInterval = t; }
     /** Disable the guest-I/O-frequency suspension (Fig. 14). */
@@ -134,9 +154,12 @@ class BackgroundCopy : public sim::SimObject
     };
 
     void retrieverLoop();
-    /** The first block of [from, imageSectors) that is EMPTY and not
-     *  already retrieved, at most one copy block long. */
-    std::optional<sim::IntervalSet::Range> nextToFetch(sim::Lba from) const;
+    /** The first block starting in [from, to) that is EMPTY and not
+     *  already retrieved, at most one copy block long; @p filtered
+     *  also skips, and ends the block at, units the pick filter
+     *  rejects. */
+    std::optional<sim::IntervalSet::Range>
+    nextToFetch(sim::Lba from, sim::Lba to, bool filtered) const;
     /** Issue the fetch the retriever picked (after any gate delay). */
     void issueFetch(sim::Lba lba, std::uint32_t count);
     void writerWake();
@@ -158,6 +181,7 @@ class BackgroundCopy : public sim::SimObject
     MediationCore &mediator;
     BlockBitmap &bitmap;
     FetchFn fetch;
+    PickFilter pickFilter;
     sim::RateGate gate_;
     sim::Lba imageSectors;
     std::uint32_t fetchAlign;

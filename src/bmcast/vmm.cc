@@ -267,6 +267,12 @@ Vmm::installVmm()
             [this](sim::Lba lba, std::uint32_t count) {
                 streamer_->noteLocalWrite(lba, count);
             });
+        // Take chunks another node of the wave is already fetching
+        // last: by then a peer usually holds them. The legacy path
+        // has one server and no peers, so it keeps the plain pick.
+        copy->setPickFilter([this](sim::Lba unit) {
+            return !streamer_->claimedElsewhere(unit);
+        });
     }
 
     frontEnd_->install();

@@ -55,6 +55,7 @@
 #ifndef SIMCORE_EVENT_QUEUE_HH
 #define SIMCORE_EVENT_QUEUE_HH
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -197,6 +198,28 @@ class EventQueue
 
     /** Execute exactly one event if any is pending. */
     bool step();
+
+    /**
+     * Execute events one at a time while @p more() holds (checked
+     * before each event) and the queue is not empty: the entry point
+     * for predicate-driven loops. Unlike bare step() calls, the loop's
+     * wall time counts toward counters().wallNs, once per call.
+     * @return number of events executed.
+     */
+    template <typename Pred>
+    std::uint64_t
+    stepWhile(Pred &&more)
+    {
+        const auto wallStart = std::chrono::steady_clock::now();
+        std::uint64_t n = 0;
+        while (more() && !empty() && step())
+            ++n;
+        counters_.wallNs += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - wallStart)
+                .count());
+        return n;
+    }
 
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return counters_.executed; }

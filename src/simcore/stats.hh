@@ -36,7 +36,7 @@ struct KernelCounters
     std::uint64_t tombstonesPopped = 0; //!< lazily-removed entries
     std::uint64_t spilledCallbacks = 0; //!< closures too big to inline
     std::uint64_t peakPending = 0;      //!< high-water pending events
-    std::uint64_t wallNs = 0;           //!< wall time inside run()
+    std::uint64_t wallNs = 0;           //!< wall time in run()/stepWhile()
 
     /** Wall nanoseconds per million executed events (0 if none). */
     double

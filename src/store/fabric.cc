@@ -184,6 +184,8 @@ publishStoreStats(obs::Registry &reg, const StoreFabric &fabric)
         .set(s.registeredChunks);
     reg.counter("store.released_chunks", label).set(s.releasedChunks);
     reg.counter("store.poisoned_chunks", label).set(s.poisonedChunks);
+    reg.counter("store.deferred_picks", label).set(s.deferredPicks);
+    reg.counter("store.fallback_picks", label).set(s.fallbackPicks);
     const ChunkStore &cs = fabric.chunkStore();
     reg.counter("store.unique_chunks", label).set(cs.uniqueChunks());
     reg.counter("store.stored_bytes", label).set(cs.storedBytes());

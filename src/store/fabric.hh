@@ -97,6 +97,10 @@ struct FabricStats
     std::uint64_t registeredChunks = 0; //!< noteChunkLanded calls
     std::uint64_t releasedChunks = 0;   //!< returned by nodeReleased
     std::uint64_t poisonedChunks = 0;   //!< dropped after guest writes
+    /** Background picks that put another node's claimed chunk last,
+     *  and whole-chunk fetches issued on one anyway (ChunkStreamer). */
+    std::uint64_t deferredPicks = 0;
+    std::uint64_t fallbackPicks = 0;
 };
 
 class ChunkStreamer;
@@ -169,6 +173,10 @@ class StoreFabric : public sim::SimObject
      * fail over to the erasure stripe).
      */
     void nodeReleased(net::MacAddr mac);
+
+    /** Tally a streamer's deferred / fallback background pick. */
+    void noteDeferredPick() { ++stats_.deferredPicks; }
+    void noteFallbackPick() { ++stats_.fallbackPicks; }
 
     /** Is the source at @p mac currently answering? (Unknown MACs
      *  are presumed live seed members.) */

@@ -28,6 +28,8 @@ PeerRegistry::deregisterPeer(net::MacAddr mac)
                              it->second.chunks.end());
     for (Digest d : held)
         removeChunk(mac, d);
+    std::erase_if(claims_,
+                  [mac](const auto &kv) { return kv.second == mac; });
     peers_.erase(it);
     return held;
 }
@@ -38,6 +40,7 @@ PeerRegistry::addChunk(net::MacAddr mac, Digest d)
     auto it = peers_.find(mac);
     sim::panicIfNot(it != peers_.end(),
                     "chunk registered for unknown peer");
+    unclaim(d, mac);
     if (!it->second.chunks.insert(d).second)
         return;
     holders_[d].push_back(mac);
@@ -47,6 +50,7 @@ PeerRegistry::addChunk(net::MacAddr mac, Digest d)
 void
 PeerRegistry::removeChunk(net::MacAddr mac, Digest d)
 {
+    unclaim(d, mac);
     auto it = peers_.find(mac);
     if (it == peers_.end() || it->second.chunks.erase(d) == 0)
         return;
@@ -89,6 +93,30 @@ PeerRegistry::sourcesFor(Digest d, net::MacAddr self) const
                          return a < b;
                      });
     return out;
+}
+
+bool
+PeerRegistry::claim(Digest d, net::MacAddr mac)
+{
+    if (!known(mac))
+        return false;
+    return claims_.emplace(d, mac).first->second == mac;
+}
+
+void
+PeerRegistry::unclaim(Digest d, net::MacAddr mac)
+{
+    auto it = claims_.find(d);
+    if (it != claims_.end() && it->second == mac)
+        claims_.erase(it);
+}
+
+bool
+PeerRegistry::claimedElsewhere(Digest d, net::MacAddr self) const
+{
+    auto it = claims_.find(d);
+    return it != claims_.end() && it->second != self &&
+           holders_.count(d) == 0;
 }
 
 void

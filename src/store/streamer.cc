@@ -45,8 +45,11 @@ ChunkStreamer::fetch(sim::Lba lba, std::uint32_t count, FetchDone done,
         std::size_t idx = chunkIndexOf(pos);
         sim::Lba chunk_end = chunkStartLba(idx) + kChunkSectors;
         sim::Lba piece_end = std::min(end, chunk_end);
-        pieces.push_back(Piece{
-            pos, static_cast<std::uint32_t>(piece_end - pos), idx});
+        auto n = static_cast<std::uint32_t>(piece_end - pos);
+        bool whole = background && n == chunkSpan(idx);
+        if (whole)
+            claim(idx);
+        pieces.push_back(Piece{pos, n, idx, whole});
         pos = piece_end;
     }
     op->remaining = pieces.size();
@@ -203,6 +206,8 @@ ChunkStreamer::fetchFromSeeds(const std::shared_ptr<FetchOp> &op,
                 if (--join->remaining > 0)
                     return;
                 ++seedFetches_;
+                if (piece.wholeBackground)
+                    ++chunkSeedFetches_;
                 if (reconstructed) {
                     if (reconstructions_++ == 0 && obs::armed()) {
                         obs::Tracer &t = obs::tracer();
@@ -264,9 +269,7 @@ ChunkStreamer::noteLocalWrite(sim::Lba lba, std::uint32_t count)
         sim::Lba seg_end = std::min(end, chunk_end);
         ChunkState &cs = chunkState_[idx];
         cs.landed += static_cast<std::uint32_t>(seg_end - pos);
-        std::uint32_t span = static_cast<std::uint32_t>(
-            chunk_end - chunkStartLba(idx));
-        if (cs.state == 0 && cs.landed >= span) {
+        if (cs.state == 0 && cs.landed >= chunkSpan(idx)) {
             cs.state = 1;
             fabric_.noteChunkLanded(self_, image_, idx);
         }
@@ -286,8 +289,46 @@ ChunkStreamer::notePoisoned(sim::Lba lba, std::uint32_t count)
         ChunkState &cs = chunkState_[idx];
         if (cs.state == 1)
             fabric_.dropChunk(self_, image_, idx);
+        else if (cs.state == 0)
+            fabric_.peers().unclaim(
+                fabric_.catalog().digestAt(image_, idx), self_);
         cs.state = 2;
     }
+}
+
+void
+ChunkStreamer::claim(std::size_t idx)
+{
+    auto cs = chunkState_.find(idx);
+    if (cs != chunkState_.end() && cs->second.state == 2)
+        return; // poisoned: this node will never offer it
+    PeerRegistry &reg = fabric_.peers();
+    Digest d = fabric_.catalog().digestAt(image_, idx);
+    if (reg.claimedElsewhere(d, self_)) {
+        ++fallbackPicks_;
+        fabric_.noteFallbackPick();
+    }
+    reg.claim(d, self_);
+}
+
+bool
+ChunkStreamer::claimedElsewhere(sim::Lba lba)
+{
+    Digest d = fabric_.catalog().digestAt(image_, chunkIndexOf(lba));
+    if (!fabric_.peers().claimedElsewhere(d, self_))
+        return false;
+    ++deferredPicks_;
+    fabric_.noteDeferredPick();
+    return true;
+}
+
+std::uint32_t
+ChunkStreamer::chunkSpan(std::size_t idx) const
+{
+    sim::Lba start = chunkStartLba(idx);
+    return static_cast<std::uint32_t>(
+        std::min<sim::Lba>(start + kChunkSectors, imageSectors_) -
+        start);
 }
 
 } // namespace store

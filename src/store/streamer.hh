@@ -13,6 +13,11 @@
  * local disk (noteLocalWrite) to register this node as a peer source,
  * and which chunks the tenant has dirtied (notePoisoned) so they are
  * never offered.
+ *
+ * A background fetch claims every chunk it covers whole in the peer
+ * registry's claim table, so the other retrievers of a deploy wave
+ * can put that chunk last (claimedElsewhere) and take it from this
+ * node once it lands instead of from the seed stripe.
  */
 
 #ifndef STORE_STREAMER_HH
@@ -52,7 +57,9 @@ class ChunkStreamer : public sim::SimObject
     /** Fetch [lba, lba+count) of the image through the store tier.
      *  @p done receives one token per sector, digest-verified.
      *  @p background marks bulk background-copy traffic, which draws
-     *  issue tokens from the rate gate when one is bound. */
+     *  issue tokens from the rate gate when one is bound, and claims
+     *  each chunk it covers whole (at the call, before any gate
+     *  delay, so retrievers picking in the same tick see it). */
     void fetch(sim::Lba lba, std::uint32_t count, FetchDone done,
                bool background = false);
 
@@ -62,8 +69,14 @@ class ChunkStreamer : public sim::SimObject
     void noteLocalWrite(sim::Lba lba, std::uint32_t count);
 
     /** The tenant dirtied [lba, lba+count): stop offering (or never
-     *  offer) the covered chunks. */
+     *  offer) the covered chunks, and drop the claims on those not
+     *  yet landed. */
     void notePoisoned(sim::Lba lba, std::uint32_t count);
+
+    /** Another node is fetching the chunk holding @p lba and no peer
+     *  can serve it yet: a background pick should take it last.
+     *  Counts a deferred pick when true. */
+    bool claimedElsewhere(sim::Lba lba);
 
     /** Stop all retries and drop pending completions (power-off). */
     void shutdown() { halted_ = true; }
@@ -77,6 +90,14 @@ class ChunkStreamer : public sim::SimObject
     std::uint64_t noSourceStalls() const { return stalls_; }
     /** Pieces the rate gate pushed into the future. */
     std::uint64_t gateWaits() const { return gateWaits_; }
+    /** Background pieces covering a whole chunk that the seed stripe
+     *  served (the part of seedFetches() a deploy wave can share). */
+    std::uint64_t chunkSeedFetches() const { return chunkSeedFetches_; }
+    /** Times claimedElsewhere() turned a background pick away. */
+    std::uint64_t deferredPicks() const { return deferredPicks_; }
+    /** Background whole-chunk pieces issued while another node held
+     *  the chunk's claim (the retriever had nothing else left). */
+    std::uint64_t fallbackPicks() const { return fallbackPicks_; }
     /// @}
 
   private:
@@ -96,6 +117,7 @@ class ChunkStreamer : public sim::SimObject
         sim::Lba lba = 0;
         std::uint32_t count = 0;
         std::size_t chunkIdx = 0;
+        bool wholeBackground = false; //!< background, whole chunk
     };
 
     void startPiece(const std::shared_ptr<FetchOp> &op, Piece piece,
@@ -108,6 +130,10 @@ class ChunkStreamer : public sim::SimObject
                 const std::vector<std::uint64_t> &tokens);
     void suspect(net::MacAddr mac);
     bool live(net::MacAddr mac);
+    /** A background piece covers chunk @p idx whole: claim it. */
+    void claim(std::size_t idx);
+    /** Sectors of chunk @p idx inside the image (the last is short). */
+    std::uint32_t chunkSpan(std::size_t idx) const;
 
     aoe::AoeInitiator &aoe_;
     StoreFabric &fabric_;
@@ -135,6 +161,9 @@ class ChunkStreamer : public sim::SimObject
     std::uint64_t sourceFailures_ = 0;
     std::uint64_t stalls_ = 0;
     std::uint64_t gateWaits_ = 0;
+    std::uint64_t chunkSeedFetches_ = 0;
+    std::uint64_t deferredPicks_ = 0;
+    std::uint64_t fallbackPicks_ = 0;
 
     obs::Track obsTrack_;
 };

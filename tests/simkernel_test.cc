@@ -415,4 +415,29 @@ TEST(KernelCounters, TrackSchedulingActivity)
     EXPECT_EQ(c.spilledCallbacks, 0u);
 }
 
+TEST(KernelCounters, StepWhileStopsOnThePredicateAndCountsWallTime)
+{
+    sim::EventQueue eq;
+    int fired = 0;
+    for (int i = 0; i < 10; ++i)
+        eq.schedule(sim::Tick(i) + 1, [&fired]() { ++fired; });
+
+    int checks = 0;
+    EXPECT_EQ(eq.stepWhile([&]() {
+                  ++checks;
+                  return fired < 4;
+              }),
+              4u);
+    EXPECT_EQ(checks, 5) << "checked before every event, then once more";
+    EXPECT_EQ(eq.now(), 4u);
+    EXPECT_EQ(eq.pending(), 6u);
+    EXPECT_GT(eq.counters().wallNs, 0u)
+        << "a predicate-driven loop is kernel time too";
+
+    // An empty queue ends the loop with the predicate still true.
+    EXPECT_EQ(eq.stepWhile([]() { return true; }), 6u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.counters().executed, 10u);
+}
+
 } // namespace

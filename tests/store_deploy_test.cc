@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "bmcast/cloud.hh"
 #include "hw/disk_store.hh"
@@ -209,6 +212,124 @@ TEST(StoreDeploy, OverlayImageDeploysByteIdenticalAndDedups)
     for (const auto &d : deltas)
         EXPECT_TRUE(disk.rangeHasBase(d.lba, d.count, d.base));
     EXPECT_TRUE(disk.rangeHasBase(0, store::kChunkSectors, kBase));
+}
+
+/** Seed-stripe pieces of a deploy wave, split by kind. */
+struct WaveFetches
+{
+    std::uint64_t backgroundChunks = 0; //!< background, whole chunk
+    std::uint64_t other = 0;            //!< demand or partial pieces
+    std::uint64_t deferred = 0;
+    std::uint64_t fallback = 0;
+};
+
+WaveFetches
+waveFetches(const std::vector<bmcast::Instance *> &wave)
+{
+    WaveFetches f;
+    for (bmcast::Instance *i : wave) {
+        const store::ChunkStreamer *s = streamerOf(i);
+        f.backgroundChunks += s->chunkSeedFetches();
+        f.other += s->seedFetches() - s->chunkSeedFetches();
+        f.deferred += s->deferredPicks();
+        f.fallback += s->fallbackPicks();
+    }
+    return f;
+}
+
+TEST(StoreDeploy, WaveAtTimeZeroFetchesEachChunkFromTheStripeOnce)
+{
+    // Four nodes power on in the same tick and boot the same image:
+    // every retriever starts at LBA 0 and the identical boot reads
+    // pull every cursor to the same places. Claims must keep them
+    // from all pulling the same chunk off the stripe.
+    sim::EventQueue eq;
+    bmcast::Cloud cloud(eq, "region", storeConfig(4));
+    cloud.addImage("img", kImageBytes, kBase);
+    std::vector<bmcast::Instance *> wave;
+    for (int n = 0; n < 4; ++n) {
+        wave.push_back(cloud.provision("img", nullptr));
+        ASSERT_NE(wave.back(), nullptr);
+    }
+    ASSERT_TRUE(runUntil(eq, 40000 * sim::kSec, [&]() {
+        return std::all_of(wave.begin(), wave.end(), bareMetal);
+    }));
+    for (bmcast::Instance *i : wave)
+        EXPECT_TRUE(cloud.storeFabric()->catalog().verifyDisk(
+            "img", i->machine().disk().store()));
+
+    WaveFetches f = waveFetches(wave);
+    RecordProperty("background_chunk_seed_fetches",
+                   std::to_string(f.backgroundChunks));
+    RecordProperty("other_seed_fetches", std::to_string(f.other));
+    RecordProperty("deferred_picks", std::to_string(f.deferred));
+    RecordProperty("fallback_picks", std::to_string(f.fallback));
+    EXPECT_LE(f.backgroundChunks, store::chunkCount(kImageSectors))
+        << "the wave fetched some chunk off the stripe twice";
+    EXPECT_GT(f.deferred, 0u) << "the retrievers never met";
+    const store::FabricStats &fs = cloud.storeFabric()->stats();
+    EXPECT_EQ(fs.deferredPicks, f.deferred);
+    EXPECT_EQ(fs.fallbackPicks, f.fallback);
+}
+
+TEST(StoreDeploy, WaveSurvivesAClaimerReleasedMidDeploy)
+{
+    sim::EventQueue eq;
+    bmcast::Cloud cloud(eq, "region", storeConfig(4));
+    cloud.addImage("img", kImageBytes, kBase);
+    std::vector<bmcast::Instance *> wave;
+    for (int n = 0; n < 4; ++n) {
+        wave.push_back(cloud.provision("img", nullptr));
+        ASSERT_NE(wave.back(), nullptr);
+    }
+    // Wait until the others have deferred chunks the first node is
+    // fetching, then release it with those claims outstanding.
+    bmcast::Instance *gone = wave.front();
+    ASSERT_TRUE(runUntil(eq, 40000 * sim::kSec, [&]() {
+        return streamerOf(gone) &&
+               streamerOf(gone)->chunkSeedFetches() > 4 &&
+               waveFetches({wave.begin() + 1, wave.end()}).deferred > 0;
+    }));
+    ASSERT_FALSE(bareMetal(gone));
+    cloud.release(*gone);
+    wave.erase(wave.begin());
+
+    ASSERT_TRUE(runUntil(eq, 40000 * sim::kSec, [&]() {
+        return std::all_of(wave.begin(), wave.end(), bareMetal);
+    })) << "a released claimer stranded a chunk";
+    for (bmcast::Instance *i : wave)
+        EXPECT_TRUE(cloud.storeFabric()->catalog().verifyDisk(
+            "img", i->machine().disk().store()));
+}
+
+TEST(StoreDeploy, PoisonDropsTheClaimsOfChunksNotLanded)
+{
+    sim::EventQueue eq;
+    bmcast::Cloud cloud(eq, "region", storeConfig(1));
+    cloud.addImage("img", kImageBytes, kBase);
+    bmcast::Instance *a = cloud.provision("img", nullptr);
+    ASSERT_NE(a, nullptr);
+    const store::StoreFabric &fabric = *cloud.storeFabric();
+    // Chunks someone claimed that no peer holds yet (MAC 0 is no
+    // node, so every claim counts as elsewhere).
+    auto outstanding = [&]() {
+        const store::ImageDesc *img = fabric.catalog().find("img");
+        return std::count_if(
+            img->chunks.begin(), img->chunks.end(),
+            [&](store::Digest d) {
+                return fabric.peerRegistry().claimedElsewhere(d, 0);
+            });
+    };
+    ASSERT_TRUE(runUntil(eq, 40000 * sim::kSec,
+                         [&]() { return outstanding() > 0; }));
+
+    streamerOf(a)->notePoisoned(0, kImageSectors);
+    EXPECT_EQ(outstanding(), 0) << "a poisoned chunk kept its claim";
+    ASSERT_TRUE(runUntil(eq, 40000 * sim::kSec,
+                         [&]() { return bareMetal(a); }));
+    EXPECT_EQ(outstanding(), 0);
+    EXPECT_TRUE(fabric.catalog().verifyDisk(
+        "img", a->machine().disk().store()));
 }
 
 TEST(StoreDisabled, TickIdenticalToLegacyPath)

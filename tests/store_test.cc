@@ -431,4 +431,67 @@ TEST(StorePeerRegistry, DeadPeerReRegistersAsAWarmSourceAgain)
         << "the reborn peer has no serve history, so it ranks first";
 }
 
+// --- Deploy-wave chunk claims ---
+
+TEST(StorePeerRegistry, ClaimsDeferOtherNodesUntilAPeerHoldsTheChunk)
+{
+    store::PeerRegistry reg;
+    const store::Digest d = 0xD1;
+    for (net::MacAddr m : {0xA1, 0xA2, 0xA3})
+        reg.registerPeer(m);
+
+    EXPECT_FALSE(reg.claimedElsewhere(d, 0xA2)) << "nobody claimed it";
+    EXPECT_TRUE(reg.claim(d, 0xA1));
+    EXPECT_FALSE(reg.claim(d, 0xA2)) << "the first claimer wins";
+    EXPECT_TRUE(reg.claim(d, 0xA1)) << "re-claiming is idempotent";
+    EXPECT_FALSE(reg.claimedElsewhere(d, 0xA1)) << "own claim";
+    EXPECT_TRUE(reg.claimedElsewhere(d, 0xA2));
+    EXPECT_TRUE(reg.claimedElsewhere(d, 0xA3));
+    EXPECT_FALSE(reg.claimedElsewhere(0xD2, 0xA2));
+
+    // A holder overrides the claim: the chunk can come from a peer.
+    reg.addChunk(0xA3, d);
+    EXPECT_FALSE(reg.claimedElsewhere(d, 0xA2));
+    reg.removeChunk(0xA3, d);
+    EXPECT_TRUE(reg.claimedElsewhere(d, 0xA2))
+        << "the claimer's claim outlives another node's copy";
+
+    // Only the claimer can drop it.
+    reg.unclaim(d, 0xA2);
+    EXPECT_TRUE(reg.claimedElsewhere(d, 0xA2));
+
+    // An unknown MAC never becomes a source, so it cannot claim.
+    EXPECT_FALSE(reg.claim(0xD3, 0xEE));
+    EXPECT_FALSE(reg.claimedElsewhere(0xD3, 0xA1));
+}
+
+TEST(StorePeerRegistry, ClaimsClearOnLandReleaseAndPoison)
+{
+    store::PeerRegistry reg;
+    for (net::MacAddr m : {0xA1, 0xA2})
+        reg.registerPeer(m);
+    for (store::Digest d : {0xD1, 0xD2, 0xD3, 0xD4})
+        ASSERT_TRUE(reg.claim(d, 0xA1));
+
+    // Land: the claimer becomes a holder and its claim goes.
+    reg.addChunk(0xA1, 0xD1);
+    reg.removeChunk(0xA1, 0xD1);
+    EXPECT_FALSE(reg.claimedElsewhere(0xD1, 0xA2));
+    EXPECT_TRUE(reg.claim(0xD1, 0xA2)) << "the claim was dropped";
+
+    // Poison before landing (the streamer unclaims) and after (the
+    // fabric removes the chunk).
+    reg.unclaim(0xD2, 0xA1);
+    EXPECT_FALSE(reg.claimedElsewhere(0xD2, 0xA2));
+    reg.removeChunk(0xA1, 0xD3);
+    EXPECT_FALSE(reg.claimedElsewhere(0xD3, 0xA2));
+
+    // Release drops every claim left.
+    EXPECT_TRUE(reg.claimedElsewhere(0xD4, 0xA2));
+    reg.deregisterPeer(0xA1);
+    EXPECT_FALSE(reg.claimedElsewhere(0xD4, 0xA2));
+    EXPECT_TRUE(reg.claim(0xD4, 0xA2));
+    EXPECT_FALSE(reg.claimedElsewhere(0xD1, 0xA2)) << "own claim";
+}
+
 } // namespace
