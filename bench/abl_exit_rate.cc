@@ -50,7 +50,7 @@ run(bool vmxoff)
     bmcast::VmmParams p = paperVmmParams();
     p.moderation.vmmWriteInterval = 2 * sim::kMs;
     bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                               tb.guest(), kServerMac, img, p, false,
+                               tb.guest(), {kServerMac}, img, p, false,
                                /*vmxoffSupported=*/vmxoff);
     bool up = false;
     dep.run([&]() { up = true; });
@@ -191,10 +191,10 @@ nicSweep(netmed::MedMode mode, unsigned nodes)
             peer.send(std::move(f));
         }
         sim::Tick deadline = eq.now() + 10 * sim::kSec;
-        while (eq.now() < deadline &&
-               !(peer_rx == 100 && guest_rx == 100))
-            if (!eq.step())
-                break;
+        eq.stepWhile([&]() {
+            return eq.now() < deadline &&
+                   !(peer_rx == 100 && guest_rx == 100);
+        });
         sim::fatalIf(peer_rx != 100 || guest_rx != 100,
                      "netmed sweep burst never completed");
 

@@ -81,12 +81,8 @@ bool
 driveUntil(sim::EventQueue &eq, sim::Tick deadline,
            const std::function<bool()> &pred)
 {
-    while (!pred()) {
-        if (eq.now() > deadline || eq.empty())
-            return pred();
-        eq.step();
-    }
-    return true;
+    eq.stepWhile([&]() { return !pred() && eq.now() <= deadline; });
+    return pred();
 }
 
 /** Drive one provision to bare metal + a Serving lease. */

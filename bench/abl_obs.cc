@@ -88,7 +88,7 @@ runOnce(const char *name, bool armed, sim::Lba imageSectors)
     }
 
     bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(), tb.guest(),
-                               bench::kServerMac, imageSectors,
+                               {bench::kServerMac}, imageSectors,
                                bench::paperVmmParams(), false);
     dep.run([]() {});
 

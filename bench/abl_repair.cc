@@ -86,8 +86,8 @@ runRepair(store::ec::CodeKind code, sim::Bytes image_bytes)
     auto healed = [&]() {
         return sched->idle() && sched->allHealthy();
     };
-    while (!healed() && !eq.empty() && eq.now() < 600 * sim::kSec)
-        eq.step();
+    eq.stepWhile(
+        [&]() { return !healed() && eq.now() < 600 * sim::kSec; });
 
     RepairResult r;
     r.healthy = sched->allHealthy();
@@ -142,8 +142,8 @@ runIdentity(sim::Bytes image_bytes, bool touched)
                 return false;
         return true;
     };
-    while (!all_bare() && !eq.empty() && eq.now() < 5000 * sim::kSec)
-        eq.step();
+    eq.stepWhile(
+        [&]() { return !all_bare() && eq.now() < 5000 * sim::kSec; });
     return {eq.executed(), eq.now()};
 }
 
@@ -185,8 +185,8 @@ runTransform(sim::Bytes image_bytes)
     }
 
     sched->transformTo(store::ec::CodeKind::Lrc);
-    while (!sched->idle() && !eq.empty() && eq.now() < 600 * sim::kSec)
-        eq.step();
+    eq.stepWhile(
+        [&]() { return !sched->idle() && eq.now() < 600 * sim::kSec; });
     r.done = sched->idle() && sched->allHealthy() &&
              fabric->placement().code().kind() ==
                  store::ec::CodeKind::Lrc;

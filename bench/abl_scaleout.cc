@@ -46,8 +46,9 @@ runBmcast(unsigned n, unsigned workers)
     unsigned ready = 0;
     for (unsigned i = 0; i < n; ++i) {
         deps.push_back(std::make_unique<bmcast::BmcastDeployer>(
-            tb.eq, "dep" + std::to_string(i), tb.machine(i),
-            tb.guest(i), kServerMac, kImg, paperVmmParams(), false));
+            tb.eq, "dep" + std::to_string(i), tb.machine(i), tb.guest(i),
+            std::vector<net::MacAddr>{kServerMac}, kImg, paperVmmParams(),
+            false));
         deps.back()->run([&ready]() { ++ready; });
     }
     auto t0 = std::chrono::steady_clock::now();

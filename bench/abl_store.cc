@@ -123,9 +123,8 @@ runFleet(unsigned n, bool store_on, bool kill_seed,
         return true;
     };
     auto t0 = std::chrono::steady_clock::now();
-    while (!all_bare() && !eq.empty() &&
-           eq.now() < 500000 * sim::kSec)
-        eq.step();
+    eq.stepWhile(
+        [&]() { return !all_bare() && eq.now() < 500000 * sim::kSec; });
     auto t1 = std::chrono::steady_clock::now();
 
     FleetResult r;
@@ -181,9 +180,10 @@ runDisabled(sim::Bytes image_bytes, bool touched)
     bmcast::Cloud cloud(eq, "region", cfg);
     cloud.addImage("img", image_bytes, kBase);
     bmcast::Instance *a = cloud.provision("img", nullptr);
-    while (a->state() != bmcast::Instance::State::BareMetal &&
-           !eq.empty() && eq.now() < 500000 * sim::kSec)
-        eq.step();
+    eq.stepWhile([&]() {
+        return a->state() != bmcast::Instance::State::BareMetal &&
+               eq.now() < 500000 * sim::kSec;
+    });
     FleetResult r;
     r.n = 1;
     r.ok = a->state() == bmcast::Instance::State::BareMetal;

@@ -59,8 +59,7 @@ runWorkers(unsigned workers)
                                   [&done](const auto &) { ++done; });
         }
     }
-    while (done < kClients * kReadsPer && !eq.empty())
-        eq.step();
+    eq.stepWhile([&]() { return done < kClients * kReadsPer; });
     double total_mb = double(kClients * kReadsPer) * 1.048576;
     return total_mb / sim::toSeconds(eq.now());
 }

@@ -56,7 +56,7 @@ runBmcast(hw::StorageKind kind = hw::StorageKind::Ahci,
 {
     Testbed tb(1, kind);
     bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(), tb.guest(),
-                               kServerMac, tb.imageSectors,
+                               {kServerMac}, tb.imageSectors,
                                paperVmmParams(), true);
     bool ready = false;
     dep.run([&]() { ready = true; });

@@ -166,7 +166,7 @@ runBmcast(bool readHeavy, unsigned threads, workloads::DbParams dbp)
 {
     Testbed tb;
     bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(), tb.guest(),
-                               kServerMac, tb.imageSectors,
+                               {kServerMac}, tb.imageSectors,
                                paperVmmParams(),
                                /*coldFirmware=*/false);
     bool up = false;

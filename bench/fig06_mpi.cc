@@ -77,8 +77,8 @@ main()
         for (unsigned i = 0; i < kNodes; ++i) {
             deps.push_back(std::make_unique<bmcast::BmcastDeployer>(
                 bm.eq, "dep" + std::to_string(i), bm.machine(i),
-                bm.guest(i), kServerMac, bm.imageSectors,
-                paperVmmParams(), false));
+                bm.guest(i), std::vector<net::MacAddr>{kServerMac},
+                bm.imageSectors, paperVmmParams(), false));
             deps.back()->run([&ready]() { ++ready; });
         }
         bm.runUntil(4000 * sim::kSec,

@@ -52,7 +52,7 @@ main()
         // BMcast, deployment in progress throughout the compile.
         Testbed tb;
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac,
+                                   tb.guest(), {kServerMac},
                                    tb.imageSectors, paperVmmParams(),
                                    false);
         bool up = false;
@@ -71,7 +71,7 @@ main()
         bmcast::VmmParams fast = paperVmmParams();
         fast.moderation.vmmWriteInterval = 2 * sim::kMs;
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac, small,
+                                   tb.guest(), {kServerMac}, small,
                                    fast, false);
         dep.run([]() {});
         tb.runUntil(4000 * sim::kSec,

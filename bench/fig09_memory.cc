@@ -27,7 +27,7 @@ main()
 
     Testbed bm;
     bmcast::BmcastDeployer dep(bm.eq, "dep", bm.machine(), bm.guest(),
-                               kServerMac, bm.imageSectors,
+                               {kServerMac}, bm.imageSectors,
                                paperVmmParams(), false);
     bool up = false;
     dep.run([&]() { up = true; });

@@ -77,7 +77,7 @@ main()
     {
         Testbed tb;
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac,
+                                   tb.guest(), {kServerMac},
                                    tb.imageSectors, paperVmmParams(),
                                    false);
         bool up = false;
@@ -94,7 +94,7 @@ main()
         bmcast::VmmParams fast = paperVmmParams();
         fast.moderation.vmmWriteInterval = 2 * sim::kMs;
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac, small,
+                                   tb.guest(), {kServerMac}, small,
                                    fast, false);
         dep.run([]() {});
         tb.runUntil(4000 * sim::kSec,
@@ -149,7 +149,7 @@ main()
     {
         Testbed tb(1, hw::StorageKind::Nvme);
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac,
+                                   tb.guest(), {kServerMac},
                                    tb.imageSectors, paperVmmParams(),
                                    false);
         bool up = false;
@@ -166,7 +166,7 @@ main()
         bmcast::VmmParams fast = paperVmmParams();
         fast.moderation.vmmWriteInterval = 2 * sim::kMs;
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac, small,
+                                   tb.guest(), {kServerMac}, small,
                                    fast, false);
         dep.run([]() {});
         tb.runUntil(4000 * sim::kSec,

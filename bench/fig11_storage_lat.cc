@@ -55,7 +55,7 @@ main()
     {
         Testbed tb;
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac,
+                                   tb.guest(), {kServerMac},
                                    tb.imageSectors, paperVmmParams(),
                                    false);
         bool up = false;
@@ -72,7 +72,7 @@ main()
         bmcast::VmmParams fast = paperVmmParams();
         fast.moderation.vmmWriteInterval = 2 * sim::kMs;
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac, small,
+                                   tb.guest(), {kServerMac}, small,
                                    fast, false);
         dep.run([]() {});
         tb.runUntil(4000 * sim::kSec,
@@ -117,7 +117,7 @@ main()
     {
         Testbed tb(1, hw::StorageKind::Nvme);
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac,
+                                   tb.guest(), {kServerMac},
                                    tb.imageSectors, paperVmmParams(),
                                    false);
         bool up = false;
@@ -134,7 +134,7 @@ main()
         bmcast::VmmParams fast = paperVmmParams();
         fast.moderation.vmmWriteInterval = 2 * sim::kMs;
         bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(),
-                                   tb.guest(), kServerMac, small,
+                                   tb.guest(), {kServerMac}, small,
                                    fast, false);
         dep.run([]() {});
         tb.runUntil(4000 * sim::kSec,

@@ -64,8 +64,8 @@ main()
         for (unsigned i = 0; i < 2; ++i) {
             deps.push_back(std::make_unique<bmcast::BmcastDeployer>(
                 tb.eq, "dep" + std::to_string(i), tb.machine(i),
-                tb.guest(i), kServerMac, tb.imageSectors,
-                paperVmmParams(), false));
+                tb.guest(i), std::vector<net::MacAddr>{kServerMac},
+                tb.imageSectors, paperVmmParams(), false));
             deps.back()->run([&up]() { ++up; });
         }
         tb.runUntil(2000 * sim::kSec, [&]() { return up == 2; });
@@ -81,7 +81,8 @@ main()
         for (unsigned i = 0; i < 2; ++i) {
             deps.push_back(std::make_unique<bmcast::BmcastDeployer>(
                 tb.eq, "dep" + std::to_string(i), tb.machine(i),
-                tb.guest(i), kServerMac, small, fast, false));
+                tb.guest(i), std::vector<net::MacAddr>{kServerMac}, small,
+                fast, false));
             deps.back()->run([]() {});
         }
         tb.runUntil(4000 * sim::kSec, [&]() {

@@ -30,7 +30,7 @@ runPoint(bool guest_writes, sim::Tick interval,
     p.moderation.vmmWriteInterval =
         interval == 0 ? 1 : interval; // full speed: no idle gap
     bmcast::BmcastDeployer dep(tb.eq, "dep", tb.machine(), tb.guest(),
-                               kServerMac, tb.imageSectors, p, false);
+                               {kServerMac}, tb.imageSectors, p, false);
     bool up = false;
     dep.run([&]() { up = true; });
     tb.runUntil(1000 * sim::kSec, [&]() { return up; });

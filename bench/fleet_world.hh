@@ -394,8 +394,8 @@ class FleetWorld
         unsigned target = (r + 1) % prm.racks;
         sl.dep = std::make_unique<bmcast::BmcastDeployer>(
             eq, sl.machine->name() + ".dep", *sl.machine, *sl.guest,
-            Region::serverMac(target), sectors_,
-            StormWorld::stormVmmParams(), false);
+            std::vector<net::MacAddr>{Region::serverMac(target)},
+            sectors_, StormWorld::stormVmmParams(), false);
         if (cloud::CongestionController *cc = region.congestion())
             sl.dep->setRateGate(cc->gateFor(r, tenant));
         sl.dep->run([this, r, id]() {

@@ -86,8 +86,8 @@ class StormWorld
             rack.deps.push_back(
                 std::make_unique<bmcast::BmcastDeployer>(
                     eq, m.name() + ".dep", m, *rack.guests.back(),
-                    Region::serverMac(target_rack), sectors,
-                    stormVmmParams(), false));
+                    std::vector<net::MacAddr>{Region::serverMac(target_rack)},
+                    sectors, stormVmmParams(), false));
         }
     }
 

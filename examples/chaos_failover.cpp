@@ -73,7 +73,9 @@ main()
     bool killed = false;
     sim::Lba base_filled = 0;
     bool observing = false;
-    while (!dep.bareMetalReached() && !eq.empty()) {
+    eq.stepWhile([&]() {
+        if (dep.bareMetalReached())
+            return false;
         bmcast::Vmm &vmm = dep.vmm();
         if (!observing &&
             vmm.phase() == bmcast::Vmm::Phase::Deployment) {
@@ -89,8 +91,8 @@ main()
                       << " s: PRIMARY SERVER KILLED at 50% "
                          "deployed\n";
         }
-        eq.step();
-    }
+        return true;
+    });
 
     std::cout << "t=" << sim::toSeconds(eq.now())
               << " s: bare metal reached\n"

@@ -38,13 +38,12 @@ main()
     bmcast::VmmParams vp;
     vp.moderation.vmmWriteInterval = 28 * sim::kMs;
     bmcast::BmcastDeployer deployer(eq, "deployer", machine, guest,
-                                    kServerMac, image_sectors, vp,
+                                    {kServerMac}, image_sectors, vp,
                                     /*coldFirmware=*/false);
 
     bool up = false;
     deployer.run([&]() { up = true; });
-    while (!up && !eq.empty())
-        eq.step();
+    eq.stepWhile([&]() { return !up; });
     std::cout << "guest up at " << sim::toSeconds(eq.now())
               << " s; database starts serving\n\n";
 
@@ -61,8 +60,7 @@ main()
         workloads::YcsbClient client(eq, "ycsb", db, yp);
         bool done = false;
         client.run([&]() { done = true; });
-        while (!done && !eq.empty())
-            eq.step();
+        eq.stepWhile([&]() { return !done; });
 
         bool bare = deployer.bareMetalReached();
         t.addRow({sim::Table::num(sim::toSeconds(eq.now()), 0),

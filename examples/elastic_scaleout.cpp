@@ -73,8 +73,8 @@ main()
         std::vector<std::unique_ptr<bmcast::BmcastDeployer>> deps;
         for (unsigned i = 0; i < kInstances; ++i) {
             deps.push_back(std::make_unique<bmcast::BmcastDeployer>(
-                cloud.eq, "dep" + std::to_string(i),
-                *cloud.machines[i], *cloud.guests[i], kServerMac,
+                cloud.eq, "dep" + std::to_string(i), *cloud.machines[i],
+                *cloud.guests[i], std::vector<net::MacAddr>{kServerMac},
                 kImageSectors, bmcast::VmmParams{},
                 /*coldFirmware=*/false));
             deps.back()->run([&cloud, &ready_bmcast]() {
@@ -82,9 +82,10 @@ main()
                     sim::toSeconds(cloud.eq.now()));
             });
         }
-        while (ready_bmcast.size() < kInstances && !cloud.eq.empty() &&
-               cloud.eq.now() < 40000 * sim::kSec)
-            cloud.eq.step();
+        cloud.eq.stepWhile([&]() {
+            return ready_bmcast.size() < kInstances &&
+                   cloud.eq.now() < 40000 * sim::kSec;
+        });
         std::cout << "BMcast: server shipped "
                   << cloud.server.dataBytesOut() / sim::kMiB
                   << " MiB by the time all " << kInstances
@@ -106,9 +107,10 @@ main()
                 ready_copy.push_back(sim::toSeconds(cloud.eq.now()));
             });
         }
-        while (ready_copy.size() < kInstances && !cloud.eq.empty() &&
-               cloud.eq.now() < 400000 * sim::kSec)
-            cloud.eq.step();
+        cloud.eq.stepWhile([&]() {
+            return ready_copy.size() < kInstances &&
+                   cloud.eq.now() < 400000 * sim::kSec;
+        });
     }
 
     sim::Table t({"Instance", "BMcast ready (s)",
@@ -153,8 +155,7 @@ main()
                     return false;
             return true;
         };
-        while (!all_serving(wave1) && !eq.empty())
-            eq.step();
+        eq.stepWhile([&]() { return !all_serving(wave1); });
         std::cout << "\nRegion: 4/4 machines leased to tenant A at t="
                   << sim::Table::num(sim::toSeconds(eq.now()), 1)
                   << " s (free: " << region.freeMachines() << ")\n";
@@ -162,16 +163,15 @@ main()
         // Tenant A scales in by half; the freed machines are
         // re-leased to tenant B while A's remaining pair keeps
         // deploying in the background.
-        region.release(*wave1[0]);
-        region.release(*wave1[1]);
+        region.releaseLease(wave1[0]->lease());
+        region.releaseLease(wave1[1]->lease());
         std::cout << "Region: tenant A released 2 machines (free: "
                   << region.freeMachines() << ")\n";
 
         std::vector<bmcast::Instance *> wave2;
         wave2.push_back(region.provision("tenant-b", nullptr));
         wave2.push_back(region.provision("tenant-b", nullptr));
-        while (!all_serving(wave2) && !eq.empty())
-            eq.step();
+        eq.stepWhile([&]() { return !all_serving(wave2); });
         std::cout << "Region: 2 machines re-leased to tenant B at t="
                   << sim::Table::num(sim::toSeconds(eq.now()), 1)
                   << " s (free: " << region.freeMachines() << ")\n";

@@ -37,7 +37,8 @@ main()
 
     // --- First deployment attempt; "power failure" mid-copy.
     auto vmm1 = std::make_unique<bmcast::Vmm>(
-        eq, "vmm1", machine, kServerMac, image_sectors, vp);
+        eq, "vmm1", machine, std::vector<net::MacAddr>{kServerMac},
+        image_sectors, vp);
     vmm1->netboot([]() {});
     eq.runUntil(eq.now() + 25 * sim::kSec);
 
@@ -50,8 +51,7 @@ main()
     sim::Lba filled_before = filled_in_image(vmm1->bitmap());
     bool saved = false;
     vmm1->saveBitmapNow([&]() { saved = true; });
-    while (!saved && !eq.empty())
-        eq.step();
+    eq.stepWhile([&]() { return !saved; });
     std::cout << "power failure at t=" << sim::toSeconds(eq.now())
               << " s with "
               << filled_before * sim::kSectorSize / sim::kMiB
@@ -62,11 +62,11 @@ main()
 
     // --- Reboot: a fresh VMM resumes from the saved bitmap.
     auto vmm2 = std::make_unique<bmcast::Vmm>(
-        eq, "vmm2", machine, kServerMac, image_sectors, vp);
+        eq, "vmm2", machine, std::vector<net::MacAddr>{kServerMac},
+        image_sectors, vp);
     bool ready = false;
     vmm2->netboot([&]() { ready = true; });
-    while (!ready && !eq.empty())
-        eq.step();
+    eq.stepWhile([&]() { return !ready; });
 
     std::cout << "after reboot the new VMM sees "
               << filled_in_image(vmm2->bitmap()) * sim::kSectorSize /
@@ -75,8 +75,8 @@ main()
 
     bool done = false;
     vmm2->onBareMetal([&]() { done = true; });
-    while (!done && !eq.empty() && eq.now() < 40000 * sim::kSec)
-        eq.step();
+    eq.stepWhile(
+        [&]() { return !done && eq.now() < 40000 * sim::kSec; });
 
     std::cout << "deployment finished at t="
               << sim::toSeconds(eq.now()) << " s; image intact: "

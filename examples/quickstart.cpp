@@ -65,11 +65,11 @@ main()
 
     // --- Deploy with BMcast.
     bmcast::BmcastDeployer deployer(eq, "deployer", machine, guest,
-                                    kServerMac, image_sectors,
+                                    {kServerMac}, image_sectors,
                                     bmcast::VmmParams{},
                                     /*coldFirmware=*/false);
 
-    deployer.vmm().onBareMetal([&]() {
+    deployer.onBareMetal([&]() {
         std::cout << "[" << sim::toSeconds(eq.now())
                   << "s] de-virtualized: VMM is gone, guest owns the "
                      "hardware\n";

@@ -4,6 +4,21 @@
 
 namespace bmcast {
 
+Instance::State
+Instance::state() const
+{
+    if (machine_ == nullptr)
+        return State::Released;
+    if (deployer_->vmm().phase() == Vmm::Phase::BareMetal ||
+        (mig_ && mig_->phase() == migrate::MigrationManager::Phase::Done))
+        return State::BareMetal;
+    const cloud::LeaseState ls = lease_->state();
+    if (ls == cloud::LeaseState::Serving ||
+        ls == cloud::LeaseState::Migrating)
+        return State::Serving;
+    return State::Provisioning;
+}
+
 namespace {
 
 constexpr net::MacAddr kServerMac = 0x525400FFFF01ULL;
@@ -260,30 +275,10 @@ Cloud::startDeployment(cloud::Lease &l)
             congestion_->gateFor(l.rack(), l.tenant()));
     }
 
-    ref->deployer_->onBareMetal([ref]() {
-        ref->state_ = Instance::State::BareMetal;
-    });
-    ref->deployer_->run([this, ref, id = l.id()]() {
-        // Devirtualization is transparent to the guest: a fast copy
-        // can reach bare metal while the guest is still booting, so
-        // never downgrade the state when the boot callback arrives
-        // late.
-        if (ref->state_ != Instance::State::BareMetal)
-            ref->state_ = Instance::State::Serving;
-        plane_->noteServing(id);
-    });
+    ref->deployer_->run(
+        [this, id = l.id()]() { plane_->noteServing(id); });
 
     leased.push_back(std::move(inst));
-}
-
-void
-Cloud::release(Instance &inst)
-{
-    sim::fatalIf(inst.state_ == Instance::State::Released,
-                 "instance released twice");
-    sim::fatalIf(inst.lease_ == nullptr,
-                 "releasing an instance this region does not lease");
-    plane_->release(*inst.lease_);
 }
 
 void
@@ -304,6 +299,38 @@ Cloud::startRelease(cloud::Lease &l)
     if (inst.mig_ && !inst.mig_->finished())
         inst.mig_->cancel();
 
+    // Fold the instance's writes into an overlay image: diff the
+    // disk before the scrub erases it, register the overlay once the
+    // node's chunk exports are gone. A re-lease then redeploys
+    // base + delta.
+    auto po = pendingOverlay_.find(l.id());
+    const Image &img = images.at(inst.image_);
+    std::vector<store::DeltaRun> deltas;
+    if (po != pendingOverlay_.end()) {
+        hw::DiskStore flat_ref;
+        flat_ref.write(0, img.sectors, img.contentBase);
+        for (const auto &r : migrate::diffDisks(
+                 pool[slot]->disk().store(), flat_ref, 0, img.sectors))
+            deltas.push_back(
+                {r.lba, static_cast<std::uint32_t>(r.count), r.base});
+    }
+
+    scrubNode(inst, slot);
+
+    if (po != pendingOverlay_.end()) {
+        addOverlayImage(po->second,
+                        img.deltas.empty() ? inst.image_ : img.baseName,
+                        deltas);
+        pendingOverlay_.erase(po);
+    }
+    inst.machine_ = nullptr;
+    sim::inform(name(), ": node ", slot, " released back to the pool");
+    plane_->noteReleased(l.id());
+}
+
+void
+Cloud::scrubNode(Instance &inst, unsigned slot)
+{
     // Power off whatever is still running: the VMM tears down its
     // intercepts, copy engine and AoE session; the guest stops its
     // workload and unhooks its driver's interrupt handlers. Both
@@ -318,41 +345,17 @@ Cloud::startRelease(cloud::Lease &l)
     if (fabric_)
         fabric_->nodeReleased(kPeerMacBase + slot);
 
-    // Fold the instance's writes into an overlay image before the
-    // scrub erases them: a re-lease then redeploys base + delta.
-    auto po = pendingOverlay_.find(l.id());
-    if (po != pendingOverlay_.end()) {
-        const Image &img = images.at(inst.image_);
-        const std::string flat =
-            img.deltas.empty() ? inst.image_ : img.baseName;
-        hw::DiskStore flat_ref;
-        flat_ref.write(0, img.sectors, img.contentBase);
-        std::vector<store::DeltaRun> deltas;
-        for (const auto &r :
-             migrate::diffDisks(inst.machine_->disk().store(),
-                                flat_ref, 0, img.sectors))
-            deltas.push_back(
-                {r.lba, static_cast<std::uint32_t>(r.count), r.base});
-        addOverlayImage(po->second, flat, deltas);
-        pendingOverlay_.erase(po);
-    }
-
     // Scrub the local disk: tenant data must not leak to the next
     // lease, and a stale saved bitmap would make the next deployment
     // "resume" the wrong image.
-    inst.machine_->disk().store().clear();
-    inst.machine_->clearProfile();
-
-    inst.machine_ = nullptr;
-    inst.state_ = Instance::State::Released;
-    sim::inform(name(), ": node ", slot, " released back to the pool");
-    plane_->noteReleased(l.id());
+    pool[slot]->disk().store().clear();
+    pool[slot]->clearProfile();
 }
 
 void
 Cloud::releaseToOverlay(Instance &inst, const std::string &overlay)
 {
-    sim::fatalIf(inst.state_ != Instance::State::BareMetal,
+    sim::fatalIf(inst.state() != Instance::State::BareMetal,
                  "overlay release needs a fully landed bare-metal "
                  "instance");
     sim::fatalIf(images.count(overlay) > 0,
@@ -392,8 +395,7 @@ Cloud::startMigration(cloud::Lease &l, unsigned dest_slot)
     // re-arms under the running guest). A Serving-but-still-deploying
     // instance waits for its first de-virtualization to finish.
     inst.deployer_->onBareMetal(
-        [this, ref = &inst, id = l.id(), dest_slot]() {
-            ref->state_ = Instance::State::BareMetal;
+        [this, id = l.id(), dest_slot]() {
             cloud::Lease *l2 = plane_->leaseById(id);
             if (l2->state() != cloud::LeaseState::Migrating)
                 return; // released while waiting for bare metal
@@ -432,12 +434,7 @@ Cloud::beginMigration(cloud::Lease &l, unsigned dest_slot)
             });
         vmm.revirtualize(
             [g = ref->guest_.get()]() { return g->blk().idle(); },
-            [ref, done = std::move(done)]() {
-                // Mediated again: the instance is virtualized for
-                // the duration of the pre-copy.
-                ref->state_ = Instance::State::Serving;
-                done();
-            });
+            std::move(done));
     };
 
     const net::MacAddr src_mac = 0xA00000000000ULL + src_slot;
@@ -475,8 +472,7 @@ Cloud::beginMigration(cloud::Lease &l, unsigned dest_slot)
         // and scrub whatever partial stream reached the destination.
         Vmm &vmm = ref->deployer_->vmm();
         vmm.setGuestWriteHook({});
-        vmm.devirtualizeAgain([this, ref, dest_slot, id]() {
-            ref->state_ = Instance::State::BareMetal;
+        vmm.devirtualizeAgain([this, dest_slot, id]() {
             pool[dest_slot]->disk().store().clear();
             plane_->noteMigrationFailed(id);
         });
@@ -532,20 +528,13 @@ Cloud::quiesceThenHandoff(Instance *ref, unsigned src_slot,
 
     // Tear the source down: stop intercepting, halt the (now stale)
     // source guest, scrub the node for its next lease.
-    Vmm &vmm = ref->deployer_->vmm();
-    vmm.setGuestWriteHook({});
-    vmm.powerOff();
-    ref->guest_->halt();
-    if (fabric_)
-        fabric_->nodeReleased(kPeerMacBase + src_slot);
-    pool[src_slot]->disk().store().clear();
-    pool[src_slot]->clearProfile();
+    ref->deployer_->vmm().setGuestWriteHook({});
+    scrubNode(*ref, src_slot);
 
     ref->oldGuests_.push_back(std::move(ref->guest_));
     ref->guest_ = std::move(dguest);
     ref->machine_ = pool[dest_slot].get();
     ref->rack_ = rackOf(dest_slot);
-    ref->state_ = Instance::State::BareMetal;
     sim::inform(name(), ": node ", src_slot, " migrated to node ",
                 dest_slot);
     done();

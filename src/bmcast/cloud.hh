@@ -9,9 +9,9 @@
  * the mechanism (guest + deployer construction, power-off + scrub on
  * release). Two call surfaces share that machinery:
  *
- *  - provision()/release(): the historical blocking API, preserved
- *    as a fail-fast shim — a submit that cannot be placed this
- *    instant returns nullptr, exactly the legacy contract;
+ *  - provision(): the historical blocking API, preserved as a
+ *    fail-fast shim — a submit that cannot be placed this instant
+ *    returns nullptr, exactly the legacy contract;
  *  - submitLease()/releaseLease(): the queued API with QoS classes,
  *    typed rejections and the full lease timeline.
  *
@@ -88,7 +88,14 @@ class Instance
   public:
     enum class State { Provisioning, Serving, BareMetal, Released };
 
-    State state() const { return state_; }
+    /**
+     * Derived from the records that own it, never stored: Released
+     * once the machine is handed back; BareMetal while the VMM is
+     * (or once a migration has moved the guest, native); Serving
+     * while the lease is Serving or Migrating (a re-virtualized
+     * source is mediated again); Provisioning otherwise.
+     */
+    State state() const;
     hw::Machine &machine() { return *machine_; }
     guest::GuestOs &guest() { return *guest_; }
     BmcastDeployer &deployer() { return *deployer_; }
@@ -114,7 +121,6 @@ class Instance
   private:
     friend class Cloud;
 
-    State state_ = State::Provisioning;
     std::string image_;
     unsigned rack_ = 0;
     hw::Machine *machine_ = nullptr;
@@ -173,23 +179,21 @@ class Cloud : public sim::SimObject, private cloud::ProvisionerPort
                 std::function<void(Instance &)> onServing,
                 cloud::Lease::RejectedFn onRejected = {});
 
-    /** Release by lease handle: cancels a still-queued lease, tears
-     *  down a deploying/serving one (see release(Instance&)). */
+    /**
+     * Release by lease handle (rapid elasticity needs reclaim as much
+     * as provisioning): cancels a still-queued lease. A deploying or
+     * serving one returns its machine to the pool: the machine
+     * powers off — stopping any still-running deployment — its local
+     * disk is scrubbed (tenant data and any saved deployment bitmap)
+     * and the guest is discarded. The instance handle stays valid in
+     * Released state, but its machine/guest/deployer accessors do
+     * not. Releasing a lease twice is fatal.
+     */
     void releaseLease(cloud::Lease &l);
 
     /** The instance deployed for @p l (nullptr while queued or
      *  rejected). Valid for released leases too. */
     Instance *instanceFor(const cloud::Lease &l);
-
-    /**
-     * Return a leased instance's machine to the pool (rapid
-     * elasticity needs reclaim as much as provisioning). Powers the
-     * machine off — stopping any still-running deployment — scrubs
-     * the local disk (tenant data and any saved deployment bitmap)
-     * and discards the guest. The handle stays valid in Released
-     * state, but its machine/guest/deployer accessors do not.
-     */
-    void release(Instance &inst);
 
     /**
      * Release @p inst and fold its disk's divergence from the
@@ -232,7 +236,6 @@ class Cloud : public sim::SimObject, private cloud::ProvisionerPort
     unsigned rackLoad(unsigned rack) const;
 
     net::Network &network() { return lan; }
-    aoe::AoeServer &imageServer() { return *servers_.front(); }
     /** Seed server @p i (store mode exports several). */
     aoe::AoeServer &seedServer(unsigned i) { return *servers_[i]; }
     std::size_t seedServerCount() const { return servers_.size(); }
@@ -280,6 +283,10 @@ class Cloud : public sim::SimObject, private cloud::ProvisionerPort
     std::uint64_t rackScore(unsigned rack) const override;
     /// @}
 
+    /** Power the node in @p slot off (VMM and @p inst's guest),
+     *  drop its store exports and scrub its disk and profile: the
+     *  teardown a release and a migration handoff share. */
+    void scrubNode(Instance &inst, unsigned slot);
     /** Arm the manager and its hooks once the source is bare-metal. */
     void beginMigration(cloud::Lease &l, unsigned destSlot);
     /** The stop-and-copy state application: drain the source guest's

@@ -1,24 +1,10 @@
 #include "bmcast/deployer.hh"
 
+#include <utility>
+
 #include "simcore/logging.hh"
 
 namespace bmcast {
-
-BmcastDeployer::BmcastDeployer(sim::EventQueue &eq, std::string name,
-                               hw::Machine &machine,
-                               guest::GuestOs &guest_,
-                               net::MacAddr server_mac,
-                               sim::Lba image_sectors,
-                               VmmParams params, bool cold_firmware,
-                               bool vmxoff_supported)
-    : sim::SimObject(eq, std::move(name)),
-      machine_(machine), guest(guest_), coldFirmware(cold_firmware),
-      obsTrack_(this->name())
-{
-    vmm_ = std::make_unique<Vmm>(eq, this->name() + ".vmm", machine,
-                                 server_mac, image_sectors, params,
-                                 vmxoff_supported);
-}
 
 BmcastDeployer::BmcastDeployer(sim::EventQueue &eq, std::string name,
                                hw::Machine &machine,
@@ -66,8 +52,8 @@ BmcastDeployer::run(std::function<void()> on_guest_ready)
                         tl.copyComplete);
             t.milestone(track, "deploy.bare_metal", tl.bareMetal);
         }
-        if (bareMetalCb)
-            bareMetalCb();
+        if (auto cb = std::exchange(bareMetalCb, nullptr))
+            cb();
     });
 
     auto boot_vmm = [this]() {

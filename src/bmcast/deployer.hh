@@ -15,6 +15,7 @@
 #include "bmcast/vmm.hh"
 #include "guest/guest_os.hh"
 #include "obs/obs.hh"
+#include "simcore/logging.hh"
 #include "simcore/sim_object.hh"
 
 namespace bmcast {
@@ -35,20 +36,12 @@ class BmcastDeployer : public sim::SimObject
 {
   public:
     /**
+     * Deployment starts from serverMacs[0] and fails over down the
+     * list when the active server stops answering mid-stream,
+     * resuming from the block bitmap.
+     *
      * @param coldFirmware include the firmware cold-init delay
      *        (Fig. 4 reports both with and without it).
-     */
-    BmcastDeployer(sim::EventQueue &eq, std::string name,
-                   hw::Machine &machine, guest::GuestOs &guest,
-                   net::MacAddr serverMac, sim::Lba imageSectors,
-                   VmmParams params = VmmParams{},
-                   bool coldFirmware = true,
-                   bool vmxoffSupported = false);
-
-    /**
-     * Multi-server variant: deployment starts from serverMacs[0]
-     * and fails over down the list when the active server stops
-     * answering mid-stream, resuming from the block bitmap.
      */
     BmcastDeployer(sim::EventQueue &eq, std::string name,
                    hw::Machine &machine, guest::GuestOs &guest,
@@ -78,14 +71,16 @@ class BmcastDeployer : public sim::SimObject
     bool bareMetalReached() const { return tl.bareMetal != 0; }
 
     /** Invoked when the instance reaches bare metal (immediately if
-     *  it already has). */
+     *  it already has). One hook: registering a second one while the
+     *  first is pending is fatal. */
     void
     onBareMetal(std::function<void()> cb)
     {
         if (bareMetalReached())
-            cb();
-        else
-            bareMetalCb = std::move(cb);
+            return cb();
+        sim::fatalIf(bareMetalCb != nullptr, name(),
+                     ": onBareMetal hook already registered");
+        bareMetalCb = std::move(cb);
     }
 
   private:

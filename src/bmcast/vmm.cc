@@ -1,5 +1,7 @@
 #include "bmcast/vmm.hh"
 
+#include <utility>
+
 #include "aoe/protocol.hh"
 #include "bmcast/ahci_mediator.hh"
 #include "bmcast/ide_mediator.hh"
@@ -8,15 +10,6 @@
 #include "simcore/logging.hh"
 
 namespace bmcast {
-
-Vmm::Vmm(sim::EventQueue &eq, std::string name, hw::Machine &machine,
-         net::MacAddr server_mac, sim::Lba image_sectors,
-         VmmParams params, bool vmxoff_supported)
-    : Vmm(eq, std::move(name), machine,
-          std::vector<net::MacAddr>{server_mac}, image_sectors,
-          params, vmxoff_supported)
-{
-}
 
 Vmm::Vmm(sim::EventQueue &eq, std::string name, hw::Machine &machine,
          std::vector<net::MacAddr> server_macs,
@@ -50,6 +43,14 @@ Vmm::noteMilestone(const char *what, double value)
     t.milestone(obsTrack_.id(t), what, now(), value);
 }
 
+void
+Vmm::enterPhase(Phase p, const char *milestone)
+{
+    phase_ = p;
+    phaseAt[static_cast<std::size_t>(p)] = now();
+    noteMilestone(milestone);
+}
+
 hw::VirtProfile
 Vmm::deployProfile() const
 {
@@ -76,9 +77,7 @@ Vmm::netboot(std::function<void()> ready)
         return; // powered off while the firmware was still booting
     sim::panicIfNot(phase_ == Phase::Off, "VMM booted twice");
     readyCb = std::move(ready);
-    phase_ = Phase::Initialization;
-    phaseAt[static_cast<std::size_t>(phase_)] = now();
-    noteMilestone("vmm.phase.initialization");
+    enterPhase(Phase::Initialization, "vmm.phase.initialization");
     sim::inform(name(), ": network boot (minimized image, parallel "
                         "init)");
     schedule(params_.bootTime, [this]() { installVmm(); });
@@ -94,11 +93,6 @@ Vmm::installVmm()
                                 params_.reservedBytes);
     arena = std::make_unique<hw::MemArena>(params_.reservedBase,
                                            params_.reservedBytes);
-
-    // VMXON with nested paging on every CPU; memory is identity-
-    // mapped, the VMM region unmapped from the guest.
-    for (unsigned c = 0; c < machine_.cores(); ++c)
-        machine_.vmx().vmxon(c);
 
     // Only the dedicated management NIC is initialized by the VMM
     // (§3.1); polling mode, interrupts masked (§4.3).
@@ -275,18 +269,7 @@ Vmm::installVmm()
         });
     }
 
-    frontEnd_->install();
-    machine_.setProfile(deployProfile());
-
-    // Poll loop on the VT-x preemption timer (§4.1); runs from
-    // installation until the bare-metal phase is reached.
-    machine_.vmx().startPreemptionTimer(
-        params_.pollInterval, [this]() {
-            if (halted)
-                return false;
-            pollLoop();
-            return phase_ != Phase::BareMetal;
-        });
+    enterMediation();
 
     // Resume an interrupted deployment if the reserved region holds
     // a bitmap (§3.3).
@@ -296,14 +279,81 @@ Vmm::installVmm()
                         ": resumed deployment from saved bitmap (",
                         bitmap_->filledCount(), " sectors filled)");
         }
-        phase_ = Phase::Deployment;
-        phaseAt[static_cast<std::size_t>(phase_)] = now();
-        noteMilestone("vmm.phase.deployment");
+        enterPhase(Phase::Deployment, "vmm.phase.deployment");
         copy->start();
         armPeriodicBitmapSave();
         if (readyCb)
             readyCb();
     });
+}
+
+void
+Vmm::enterMediation()
+{
+    // VMXON with nested paging on every CPU; memory is identity-
+    // mapped, the VMM region unmapped from the guest. The mediator
+    // install paths resync from live controller state (doorbell
+    // readback on NVMe, shadow seeding on AHCI), so this is also the
+    // way back in under a running bare-metal guest.
+    for (unsigned c = 0; c < machine_.cores(); ++c)
+        machine_.vmx().vmxon(c);
+    frontEnd_->install();
+    machine_.setProfile(deployProfile());
+
+    // Poll loop on the VT-x preemption timer (§4.1); runs until the
+    // bare-metal phase is reached.
+    machine_.vmx().startPreemptionTimer(
+        params_.pollInterval, [this]() {
+            if (halted)
+                return false;
+            pollLoop();
+            return phase_ != Phase::BareMetal;
+        });
+}
+
+void
+Vmm::leaveMediation(std::function<void()> done)
+{
+    // Nested paging off per CPU at independent times: identity
+    // mapping means no cross-CPU TLB consistency problem (§3.4).
+    cpusDevirtualized = 0;
+    auto fin = std::make_shared<std::function<void()>>(std::move(done));
+    for (unsigned c = 0; c < machine_.cores(); ++c) {
+        schedule(sim::Tick(c) * 50 * sim::kUs, [this, c, fin]() {
+            if (halted)
+                return;
+            machine_.vmx().disableNestedPaging(c);
+            if (++cpusDevirtualized < machine_.cores())
+                return;
+            // The guest kept running while the CPUs switched and may
+            // have issued I/O meanwhile; interposition is removed
+            // only at a consistent hardware state (§3.1).
+            whenQuiescent([this, fin]() {
+                frontEnd_->uninstall();
+                sim::panicIfNot(!machine_.bus().anyInterceptActive(),
+                                "intercepts remain after de-virtualization");
+                machine_.clearProfile();
+                enterPhase(Phase::BareMetal, "vmm.phase.bare_metal");
+                sim::inform(name(), ": de-virtualized; guest on bare metal");
+                (*fin)();
+            });
+        });
+    }
+}
+
+void
+Vmm::whenQuiescent(std::function<void()> fn)
+{
+    if (halted)
+        return;
+    if (!mediator().quiescent()) {
+        mediator().setQuiesceCallback(
+            [this, fn = std::move(fn)]() mutable {
+                whenQuiescent(std::move(fn));
+            });
+        return;
+    }
+    fn();
 }
 
 void
@@ -365,63 +415,29 @@ Vmm::tryDevirtualize()
     if (devirtStarted)
         return;
     devirtStarted = true;
-    phase_ = Phase::Devirtualization;
-    phaseAt[static_cast<std::size_t>(phase_)] = now();
-    noteMilestone("vmm.phase.devirtualization");
+    enterPhase(Phase::Devirtualization, "vmm.phase.devirtualization");
     copy->stop();
 
-    // Persist the final bitmap, then de-virtualize the CPUs.
+    // Persist the final bitmap, then leave mediation.
     persistBitmap([this]() {
-        // Nested paging off per CPU at independent times: identity
-        // mapping means no cross-CPU TLB consistency problem (§3.4).
-        for (unsigned c = 0; c < machine_.cores(); ++c) {
-            schedule(sim::Tick(c) * 50 * sim::kUs, [this, c]() {
-                machine_.vmx().disableNestedPaging(c);
-                if (++cpusDevirtualized == machine_.cores())
-                    finishDevirtualization();
-            });
-        }
+        leaveMediation([this]() {
+            // The deployment network stack is done: cancel any
+            // straggling AoE request (e.g. a retriever prefetch that
+            // lost the race with the final write) — nothing will poll
+            // the NIC after this.
+            if (streamer_)
+                streamer_->shutdown();
+            aoe_->shutdown();
+            // Without VMXOFF, VMX stays on: only CPUID (unconditional,
+            // rare) causes exits (§5.5.2) — zero measurable overhead.
+            if (vmxoffSupported) {
+                for (unsigned c = 0; c < machine_.cores(); ++c)
+                    machine_.vmx().vmxoff(c);
+            }
+            if (auto cb = std::exchange(bareMetalCb, nullptr))
+                cb();
+        });
     });
-}
-
-void
-Vmm::finishDevirtualization()
-{
-    // The guest kept running while the CPUs switched; it may have
-    // issued I/O meanwhile. Removing the intercepts must happen at a
-    // consistent hardware state (§3.1), so wait for the mediator to
-    // quiesce again.
-    if (!mediator().quiescent()) {
-        mediator().setQuiesceCallback(
-            [this]() { finishDevirtualization(); });
-        return;
-    }
-    // All CPUs run without nested paging; remove interposition.
-    frontEnd_->uninstall();
-    sim::panicIfNot(!machine_.bus().anyInterceptActive(),
-                    "intercepts remain after de-virtualization");
-
-    // The deployment network stack is done: cancel any straggling
-    // AoE request (e.g. a retriever prefetch that lost the race with
-    // the final write) — nothing will poll the NIC after this.
-    if (streamer_)
-        streamer_->shutdown();
-    aoe_->shutdown();
-
-    if (vmxoffSupported) {
-        for (unsigned c = 0; c < machine_.cores(); ++c)
-            machine_.vmx().vmxoff(c);
-    }
-    // Otherwise VMX stays on: only CPUID (unconditional, rare)
-    // causes exits (§5.5.2) — zero measurable overhead.
-
-    machine_.clearProfile();
-    phase_ = Phase::BareMetal;
-    phaseAt[static_cast<std::size_t>(phase_)] = now();
-    noteMilestone("vmm.phase.bare_metal");
-    sim::inform(name(), ": de-virtualized; guest on bare metal");
-    if (bareMetalCb)
-        bareMetalCb();
 }
 
 void
@@ -500,56 +516,29 @@ Vmm::revirtualize(std::function<bool()> guest_idle,
 {
     sim::panicIfNot(phase_ == Phase::BareMetal && !halted,
                     "revirtualize needs a bare-metal machine");
-    // The mediator install paths resync from live controller state
-    // (doorbell readback on NVMe, shadow seeding on AHCI) and demand
-    // a guest-quiescent instant — no command queued or in flight.
-    // The guest keeps running; poll for the next such instant.
+    // The mediator install paths demand a guest-quiescent instant —
+    // no command queued or in flight. The guest keeps running; poll
+    // for the next such instant.
     if (!guest_idle()) {
         schedule(params_.pollInterval,
                  [this, guest_idle = std::move(guest_idle),
                   ready = std::move(ready)]() mutable {
-                     if (halted)
-                         return;
-                     revirtualizeRetry(std::move(guest_idle),
-                                       std::move(ready));
+                     if (phase_ != Phase::BareMetal || halted)
+                         return; // powered off (or re-virtualized)
+                     revirtualize(std::move(guest_idle),
+                                  std::move(ready));
                  });
         return;
     }
 
-    // Nested paging back on, per CPU; identity mapping means the
-    // guest never notices (§3.4, reversed).
-    for (unsigned c = 0; c < machine_.cores(); ++c)
-        machine_.vmx().vmxon(c);
-
-    frontEnd_->install();
-    machine_.setProfile(deployProfile());
+    // Nested paging back on, per CPU, and the poll loop re-armed;
+    // identity mapping means the guest never notices (§3.4, reversed).
+    enterMediation();
     devirtRequested = false;
     devirtStarted = false;
-    cpusDevirtualized = 0;
-    phase_ = Phase::Revirtualized;
-    phaseAt[static_cast<std::size_t>(phase_)] = now();
-    noteMilestone("vmm.phase.revirtualized");
+    enterPhase(Phase::Revirtualized, "vmm.phase.revirtualized");
     sim::inform(name(), ": re-virtualized under the running guest");
-
-    // The poll loop ran out when the first de-virtualization hit
-    // bare metal; re-arm it for the mediated interlude.
-    machine_.vmx().startPreemptionTimer(
-        params_.pollInterval, [this]() {
-            if (halted)
-                return false;
-            pollLoop();
-            return phase_ != Phase::BareMetal;
-        });
     ready();
-}
-
-void
-Vmm::revirtualizeRetry(std::function<bool()> guest_idle,
-                       std::function<void()> ready)
-{
-    if (phase_ != Phase::BareMetal || halted)
-        return; // powered off (or re-virtualized) while waiting
-    revirtualize(std::move(guest_idle), std::move(ready));
 }
 
 void
@@ -557,63 +546,15 @@ Vmm::devirtualizeAgain(std::function<void()> on_done)
 {
     sim::panicIfNot(phase_ == Phase::Revirtualized,
                     "devirtualizeAgain outside Revirtualized");
-    if (!mediator().quiescent()) {
-        mediator().setQuiesceCallback(
-            [this, on_done = std::move(on_done)]() mutable {
-                if (phase_ == Phase::Revirtualized && !halted)
-                    devirtualizeAgain(std::move(on_done));
-            });
-        return;
-    }
-    phase_ = Phase::Devirtualization;
-    phaseAt[static_cast<std::size_t>(phase_)] = now();
-    noteMilestone("vmm.phase.devirtualization");
-    cpusDevirtualized = 0;
-    auto done = std::make_shared<std::function<void()>>(
-        std::move(on_done));
-    for (unsigned c = 0; c < machine_.cores(); ++c) {
-        schedule(sim::Tick(c) * 50 * sim::kUs, [this, c, done]() {
-            if (halted)
-                return;
-            machine_.vmx().disableNestedPaging(c);
-            if (++cpusDevirtualized == machine_.cores())
-                finishDevirtualizeAgain(std::move(*done));
-        });
-    }
-}
-
-void
-Vmm::finishDevirtualizeAgain(std::function<void()> on_done)
-{
-    // Same consistency rule as the original de-virtualization: the
-    // guest may have issued I/O while the CPUs switched.
-    if (!mediator().quiescent()) {
-        mediator().setQuiesceCallback(
-            [this, on_done = std::move(on_done)]() mutable {
-                finishDevirtualizeAgain(std::move(on_done));
-            });
-        return;
-    }
-    frontEnd_->uninstall();
-    sim::panicIfNot(!machine_.bus().anyInterceptActive(),
-                    "intercepts remain after re-devirtualization");
-    machine_.clearProfile();
-    phase_ = Phase::BareMetal;
-    phaseAt[static_cast<std::size_t>(phase_)] = now();
-    noteMilestone("vmm.phase.bare_metal");
-    sim::inform(name(), ": de-virtualized again; guest on bare metal");
-    if (on_done)
-        on_done();
+    whenQuiescent([this, on_done = std::move(on_done)]() mutable {
+        enterPhase(Phase::Devirtualization,
+                   "vmm.phase.devirtualization");
+        leaveMediation(std::move(on_done));
+    });
 }
 
 void
 Vmm::tryRestoreBitmap(std::function<void(bool)> done)
-{
-    tryRestoreBitmapAttempt(std::move(done));
-}
-
-void
-Vmm::tryRestoreBitmapAttempt(std::function<void(bool)> done)
 {
     bool ok = mediator().vmmRead(
         bitmapHome, 1,
@@ -628,7 +569,7 @@ Vmm::tryRestoreBitmapAttempt(std::function<void(bool)> done)
         });
     if (!ok)
         schedule(2 * sim::kMs, [this, done = std::move(done)]() {
-            tryRestoreBitmapAttempt(done);
+            tryRestoreBitmap(done);
         });
 }
 

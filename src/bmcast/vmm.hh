@@ -37,6 +37,7 @@
 #include "hw/e1000_driver.hh"
 #include "hw/machine.hh"
 #include "obs/obs.hh"
+#include "simcore/logging.hh"
 #include "simcore/sim_object.hh"
 #include "store/streamer.hh"
 
@@ -58,23 +59,18 @@ class Vmm : public sim::SimObject
     };
 
     /**
+     * Deployment starts from serverMacs[0] and fails over down the
+     * list when the current server stops answering (each AoE
+     * request's retry budget exhausts). The block bitmap makes
+     * failover resumable: blocks already written locally are never
+     * re-fetched.
+     *
      * @param imageSectors size of the OS image to deploy; blocks
      *        beyond it (and the reserved region) are not copied.
      * @param vmxoffSupported the prototype did not fully support
      *        VMXOFF (§4.3); when false, VMX stays on after
      *        de-virtualization with only (rare, negligible) CPUID
      *        exits — exactly the configuration evaluated in §5.
-     */
-    Vmm(sim::EventQueue &eq, std::string name, hw::Machine &machine,
-        net::MacAddr serverMac, sim::Lba imageSectors,
-        VmmParams params = VmmParams{}, bool vmxoffSupported = false);
-
-    /**
-     * Multi-server variant: deployment starts from serverMacs[0] and
-     * fails over down the list when the current server stops
-     * answering (each AoE request's retry budget exhausts).  The
-     * block bitmap makes failover resumable: blocks already written
-     * locally are never re-fetched.
      */
     Vmm(sim::EventQueue &eq, std::string name, hw::Machine &machine,
         std::vector<net::MacAddr> serverMacs, sim::Lba imageSectors,
@@ -98,11 +94,11 @@ class Vmm : public sim::SimObject
 
     /**
      * Bind a deployment-bandwidth gate (must run before netboot()).
-     * Background-copy fetch issues draw tokens from it — through the
-     * ChunkStreamer on the store path, directly at the BackgroundCopy
-     * retriever otherwise (never both, so bytes are charged once).
-     * Copy-on-read guest faults stay unshaped. Unset = historical
-     * behavior.
+     * One charge point per fetch, per path: on the legacy path the
+     * copy-on-read demand fetches and the background-copy blocks
+     * both draw from it, one lane for all image bytes; on the store
+     * path the ChunkStreamer charges background pieces only and
+     * demand faults stay unshaped. Unset = historical behavior.
      */
     void setRateGate(sim::RateGate g) { gate_ = std::move(g); }
 
@@ -113,15 +109,17 @@ class Vmm : public sim::SimObject
      */
     void netboot(std::function<void()> ready);
 
-    /** Invoked when the Bare-metal phase is reached (immediately if
-     *  it already has been). */
+    /** Invoked when the deployment reaches the Bare-metal phase
+     *  (immediately if it already has). One hook: registering a
+     *  second one while the first is pending is fatal. */
     void
     onBareMetal(std::function<void()> cb)
     {
         if (phase_ == Phase::BareMetal)
-            cb();
-        else
-            bareMetalCb = std::move(cb);
+            return cb();
+        sim::fatalIf(bareMetalCb != nullptr, name(),
+                     ": onBareMetal hook already registered");
+        bareMetalCb = std::move(cb);
     }
 
     /** Ask for de-virtualization as soon as it is safe; normally
@@ -185,23 +183,22 @@ class Vmm : public sim::SimObject
     /**
      * Re-virtualize a bare-metal machine in place: wait for a
      * guest-quiescent instant (@p guestIdle true, no command mid-
-     * flight in the controller), turn nested paging back on per CPU,
-     * reinstall the device mediator via its doorbell-readback/resync
-     * path, and restart the preemption-timer poll loop. @p ready
-     * fires once the mediator intercepts are live — from then on
-     * every guest write reaches the write hook.
+     * flight in the controller), then enter mediation the way the
+     * deployment did — nested paging on per CPU, the device mediator
+     * reinstalled via its doorbell-readback/resync path, the
+     * preemption-timer poll loop restarted. @p ready fires once the
+     * mediator intercepts are live — from then on every guest write
+     * reaches the write hook.
      */
     void revirtualize(std::function<bool()> guestIdle,
                       std::function<void()> ready);
 
     /**
-     * Leave the Revirtualized phase the same way the original
-     * deployment de-virtualized (quiesce, per-CPU nested-paging
-     * disable at independent times, quiesce, uninstall) — but
-     * without touching the long-gone deployment network stack and
-     * without re-firing the onBareMetal callback. Used after a
-     * migration handoff (source teardown follows) and after an
-     * aborted migration (the guest keeps running, bare-metal again).
+     * Leave the Revirtualized phase through the deployment's own
+     * exit (quiesce, then leave mediation) — but without touching
+     * the long-gone deployment network stack and without re-firing
+     * the onBareMetal callback. Used after an aborted migration (the
+     * guest keeps running, bare-metal again).
      */
     void devirtualizeAgain(std::function<void()> onDone);
 
@@ -221,18 +218,20 @@ class Vmm : public sim::SimObject
 
   private:
     void installVmm();
+    /** The one entry into mediation (deployment and revirtualize). */
+    void enterMediation();
+    /** The one exit: ends in BareMetal, then runs @p done. */
+    void leaveMediation(std::function<void()> done);
+    /** Run @p fn once the mediator is quiescent (unless halted). */
+    void whenQuiescent(std::function<void()> fn);
     void armPeriodicBitmapSave();
     void pollLoop();
     void tryDevirtualize();
-    void finishDevirtualization();
-    void revirtualizeRetry(std::function<bool()> guestIdle,
-                           std::function<void()> ready);
-    void finishDevirtualizeAgain(std::function<void()> onDone);
     void persistBitmap(std::function<void()> done);
     void persistBitmapAttempt(std::uint64_t token,
                               std::function<void()> done);
     void tryRestoreBitmap(std::function<void(bool)> done);
-    void tryRestoreBitmapAttempt(std::function<void(bool)> done);
+    void enterPhase(Phase p, const char *milestone);
     /** Record an obs deployment milestone (no-op when disarmed). */
     void noteMilestone(const char *what, double value = 0.0);
 

@@ -177,8 +177,8 @@ TEST(BackgroundCopy, CursorMovedBackOverQueuedRangesFetchesEachSectorOnce)
     });
 
     r.copy->start();
-    while (!r.completed && r.eq.now() < 10 * sim::kSec && r.eq.step()) {
-    }
+    r.eq.stepWhile(
+        [&]() { return !r.completed && r.eq.now() < 10 * sim::kSec; });
     r.eq.cancel(poll);
     r.eq.cancel(stasher);
 

@@ -26,7 +26,7 @@ TEST_P(DeployTest, FullDeploymentReachesBareMetal)
     Rig rig(opt);
 
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac,
+                               *rig.guest, {kServerMac},
                                opt.imageSectors, rig.fastVmmParams(),
                                /*coldFirmware=*/false);
 
@@ -63,7 +63,7 @@ TEST_P(DeployTest, GuestReadsSeeImageContentDuringDeployment)
     Rig rig(opt);
 
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac,
+                               *rig.guest, {kServerMac},
                                opt.imageSectors, rig.fastVmmParams(),
                                false);
 
@@ -95,7 +95,7 @@ TEST_P(DeployTest, GuestWriteSurvivesBackgroundCopy)
     Rig rig(opt);
 
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac,
+                               *rig.guest, {kServerMac},
                                opt.imageSectors, rig.fastVmmParams(),
                                false);
 
@@ -141,7 +141,7 @@ TEST_P(DeployTest, ServerSendsEachImageByteOnce)
     Rig rig(opt);
 
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac,
+                               *rig.guest, {kServerMac},
                                opt.imageSectors, rig.fastVmmParams(),
                                false);
     dep.run([]() {});
@@ -169,5 +169,34 @@ INSTANTIATE_TEST_SUITE_P(AllControllers, DeployTest,
                          [](const auto &info) {
                              return storageName(info.param);
                          });
+
+// The bare-metal hooks are single slots: a second registration while
+// one is pending would silently replace the first, so it is fatal.
+// Once bare metal is reached, a hook fires immediately.
+TEST(BareMetalHook, SecondRegistrationWhilePendingIsFatal)
+{
+    Rig rig;
+    bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine, *rig.guest,
+                               {kServerMac}, rig.opts.imageSectors,
+                               rig.fastVmmParams(), false);
+    int fired = 0;
+    dep.onBareMetal([&]() { ++fired; });
+    EXPECT_THROW(dep.onBareMetal([]() {}), sim::FatalError);
+    // run() hooks the VMM for the deployer's own timeline.
+    dep.vmm().onBareMetal([]() {});
+    EXPECT_THROW(dep.run(nullptr), sim::FatalError);
+
+    bmcast::BmcastDeployer dep2(rig.eq, "dep2", *rig.machine,
+                                *rig.guest, {kServerMac},
+                                rig.opts.imageSectors,
+                                rig.fastVmmParams(), false);
+    dep2.run(nullptr);
+    ASSERT_TRUE(runUntil(rig.eq, 4000 * sim::kSec,
+                         [&]() { return dep2.bareMetalReached(); }));
+    bool late = false;
+    dep2.onBareMetal([&]() { late = true; });
+    EXPECT_TRUE(late);
+    EXPECT_EQ(fired, 0);
+}
 
 } // namespace

@@ -48,10 +48,11 @@ TEST(Cloud, ProvisionTwoImagesConcurrently)
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(cloud.freeMachines(), 0u);
 
-    while ((a->state() != bmcast::Instance::State::BareMetal ||
-            b->state() != bmcast::Instance::State::BareMetal) &&
-           !eq.empty() && eq.now() < 40000 * sim::kSec)
-        eq.step();
+    eq.stepWhile([&]() {
+        return (a->state() != bmcast::Instance::State::BareMetal ||
+                b->state() != bmcast::Instance::State::BareMetal) &&
+               eq.now() < 40000 * sim::kSec;
+    });
 
     EXPECT_EQ(serving, 2u);
     EXPECT_EQ(a->state(), bmcast::Instance::State::BareMetal);
@@ -85,10 +86,11 @@ TEST(Cloud, BareMetalStateSurvivesLateGuestBoot)
         "tiny", [&](bmcast::Instance &) { served = true; });
     ASSERT_NE(a, nullptr);
 
-    while ((a->state() != bmcast::Instance::State::BareMetal ||
-            !served) &&
-           !eq.empty() && eq.now() < 40000 * sim::kSec)
-        eq.step();
+    eq.stepWhile([&]() {
+        return (a->state() != bmcast::Instance::State::BareMetal ||
+                !served) &&
+               eq.now() < 40000 * sim::kSec;
+    });
 
     ASSERT_TRUE(served);
     EXPECT_LT(a->deployer().timeline().bareMetal,
@@ -117,13 +119,14 @@ TEST(Cloud, ReleaseReturnsMachineToPoolAndScrubs)
 
     bmcast::Instance *a = cloud.provision("ubuntu-14.04", nullptr);
     ASSERT_NE(a, nullptr);
-    while (a->state() != bmcast::Instance::State::BareMetal &&
-           !eq.empty() && eq.now() < 40000 * sim::kSec)
-        eq.step();
+    eq.stepWhile([&]() {
+        return a->state() != bmcast::Instance::State::BareMetal &&
+               eq.now() < 40000 * sim::kSec;
+    });
     ASSERT_EQ(a->state(), bmcast::Instance::State::BareMetal);
     hw::Machine &node = a->machine();
 
-    cloud.release(*a);
+    cloud.releaseLease(a->lease());
     EXPECT_EQ(a->state(), bmcast::Instance::State::Released);
     EXPECT_EQ(cloud.freeMachines(), 1u);
     // Tenant data scrubbed, nothing left running on the node.
@@ -137,9 +140,10 @@ TEST(Cloud, ReleaseReturnsMachineToPoolAndScrubs)
     bmcast::Instance *b = cloud.provision("centos-6.3", nullptr);
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(&b->machine(), &node);
-    while (b->state() != bmcast::Instance::State::BareMetal &&
-           !eq.empty() && eq.now() < 40000 * sim::kSec)
-        eq.step();
+    eq.stepWhile([&]() {
+        return b->state() != bmcast::Instance::State::BareMetal &&
+               eq.now() < 40000 * sim::kSec;
+    });
     ASSERT_EQ(b->state(), bmcast::Instance::State::BareMetal);
     EXPECT_TRUE(
         node.disk().store().rangeHasBase(0, img_sectors, kCentos));
@@ -155,12 +159,13 @@ TEST(Cloud, ReleaseMidDeploymentIsSafe)
     cloud.addImage("img2", 512 * sim::kMiB, kCentos);
     bmcast::Instance *a = cloud.provision("img", nullptr);
     ASSERT_NE(a, nullptr);
-    while (a->state() == bmcast::Instance::State::Provisioning &&
-           !eq.empty() && eq.now() < 4000 * sim::kSec)
-        eq.step();
+    eq.stepWhile([&]() {
+        return a->state() == bmcast::Instance::State::Provisioning &&
+               eq.now() < 4000 * sim::kSec;
+    });
     ASSERT_EQ(a->state(), bmcast::Instance::State::Serving);
     hw::Machine &node = a->machine();
-    cloud.release(*a);
+    cloud.releaseLease(a->lease());
     EXPECT_EQ(cloud.freeMachines(), 1u);
     EXPECT_FALSE(node.bus().anyInterceptActive());
 
@@ -168,9 +173,10 @@ TEST(Cloud, ReleaseMidDeploymentIsSafe)
     // remaining events), and the node must still be re-leasable.
     bmcast::Instance *b = cloud.provision("img2", nullptr);
     ASSERT_NE(b, nullptr);
-    while (b->state() != bmcast::Instance::State::BareMetal &&
-           !eq.empty() && eq.now() < 40000 * sim::kSec)
-        eq.step();
+    eq.stepWhile([&]() {
+        return b->state() != bmcast::Instance::State::BareMetal &&
+               eq.now() < 40000 * sim::kSec;
+    });
     EXPECT_EQ(b->state(), bmcast::Instance::State::BareMetal);
     sim::Lba img_sectors = (512 * sim::kMiB) / sim::kSectorSize;
     EXPECT_TRUE(
@@ -196,7 +202,7 @@ TEST(Cloud, ReleaseWhileStillProvisioningIsSafe)
     ASSERT_EQ(a->state(), bmcast::Instance::State::Provisioning);
     hw::Machine &node = a->machine();
 
-    cloud.release(*a);
+    cloud.releaseLease(a->lease());
     EXPECT_EQ(a->state(), bmcast::Instance::State::Released);
     EXPECT_EQ(cloud.freeMachines(), 1u);
     EXPECT_FALSE(node.bus().anyInterceptActive());
@@ -205,9 +211,10 @@ TEST(Cloud, ReleaseWhileStillProvisioningIsSafe)
     // fire its serving callback or disturb the next lease.
     bmcast::Instance *b = cloud.provision("img2", nullptr);
     ASSERT_NE(b, nullptr);
-    while (b->state() != bmcast::Instance::State::BareMetal &&
-           !eq.empty() && eq.now() < 40000 * sim::kSec)
-        eq.step();
+    eq.stepWhile([&]() {
+        return b->state() != bmcast::Instance::State::BareMetal &&
+               eq.now() < 40000 * sim::kSec;
+    });
     EXPECT_EQ(b->state(), bmcast::Instance::State::BareMetal);
     EXPECT_EQ(served, 0u);
     sim::Lba img_sectors = (512 * sim::kMiB) / sim::kSectorSize;
@@ -222,8 +229,8 @@ TEST(Cloud, DoubleReleaseIsFatal)
     cloud.addImage("img", 16 * sim::kMiB, kUbuntu);
     bmcast::Instance *a = cloud.provision("img", nullptr);
     ASSERT_NE(a, nullptr);
-    cloud.release(*a);
-    EXPECT_THROW(cloud.release(*a), sim::FatalError);
+    cloud.releaseLease(a->lease());
+    EXPECT_THROW(cloud.releaseLease(a->lease()), sim::FatalError);
 }
 
 TEST(Cloud, UnknownImageIsFatal)
@@ -286,7 +293,7 @@ TEST(Cloud, SingleRackPlacementKeepsHistoricalOrder)
     EXPECT_EQ(b->rack(), 0u);
     hw::Machine *slot0 = &a->machine();
     EXPECT_NE(slot0, &b->machine());
-    cloud.release(*a);
+    cloud.releaseLease(a->lease());
     // The freed slot 0 is re-leased before the untouched slot 2.
     bmcast::Instance *c = cloud.provision("img", nullptr);
     ASSERT_NE(c, nullptr);

@@ -137,7 +137,7 @@ TEST(Failover, SoleServerCrashAutoRestartRecovers)
     rig.attachInjector(fi);
 
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac, o.imageSectors,
+                               *rig.guest, {kServerMac}, o.imageSectors,
                                failoverParams(rig), false);
     dep.run([]() {});
     ASSERT_TRUE(runUntil(rig.eq, 40000 * sim::kSec,
@@ -169,7 +169,7 @@ TEST(Failover, FetchTroubleDegradesPacingThenRecovers)
     p.aoeMaxRetries = 2; // errors surface fast
 
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac, o.imageSectors,
+                               *rig.guest, {kServerMac}, o.imageSectors,
                                p, false);
 
     bool observing = false, killed = false, restarted = false;

@@ -349,7 +349,7 @@ TEST_P(ChaosMatrix, DeploysByteIdenticalImage)
     rig.attachInjector(fi);
 
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac, o.imageSectors,
+                               *rig.guest, {kServerMac}, o.imageSectors,
                                rig.fastVmmParams(), false);
     dep.run([]() {});
     ASSERT_TRUE(runUntil(rig.eq, 40000 * sim::kSec,
@@ -422,7 +422,7 @@ chaosRun(std::uint64_t injectorSeed)
     rig.attachInjector(fi);
 
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac, o.imageSectors,
+                               *rig.guest, {kServerMac}, o.imageSectors,
                                rig.fastVmmParams(), false);
     dep.run([]() {});
     EXPECT_TRUE(runUntil(rig.eq, 40000 * sim::kSec,
@@ -635,8 +635,9 @@ class BoundaryTest : public ::testing::TestWithParam<hw::StorageKind>
             o.imageSectors = (16 * sim::kMiB) / sim::kSectorSize;
             rig = std::make_unique<Rig>(o);
             vmm = std::make_unique<bmcast::Vmm>(
-                rig->eq, "vmm", *rig->machine, kServerMac,
-                o.imageSectors, rig->fastVmmParams());
+                rig->eq, "vmm", *rig->machine,
+                std::vector<net::MacAddr>{kServerMac}, o.imageSectors,
+                rig->fastVmmParams());
             bool ready = false;
             vmm->netboot([&]() { ready = true; });
             runUntil(rig->eq, 60 * sim::kSec,
@@ -752,7 +753,7 @@ TEST(VmmMemory, ReservedViaE820)
     o.imageSectors = (16 * sim::kMiB) / sim::kSectorSize;
     Rig rig(o);
     bmcast::VmmParams p = rig.fastVmmParams();
-    bmcast::Vmm vmm(rig.eq, "vmm", *rig.machine, kServerMac,
+    bmcast::Vmm vmm(rig.eq, "vmm", *rig.machine, {kServerMac},
                     o.imageSectors, p);
     bool ready = false;
     vmm.netboot([&]() { ready = true; });
@@ -783,7 +784,7 @@ TEST(ModerationEdge, ZeroIntervalIsFullSpeed)
     bmcast::VmmParams p = rig.fastVmmParams();
     p.moderation.vmmWriteInterval = 1; // effectively no idle gap
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac, o.imageSectors,
+                               *rig.guest, {kServerMac}, o.imageSectors,
                                p, false);
     dep.run([]() {});
     ASSERT_TRUE(runUntil(rig.eq, 4000 * sim::kSec,
@@ -802,7 +803,7 @@ TEST(ModerationEdge, HugeSuspendStillCompletes)
     p.moderation.vmmWriteSuspendInterval = 2 * sim::kSec;
     p.moderation.vmmWriteInterval = 2 * sim::kMs;
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac, o.imageSectors,
+                               *rig.guest, {kServerMac}, o.imageSectors,
                                p, false);
     dep.run([]() {});
     ASSERT_TRUE(runUntil(rig.eq, 40000 * sim::kSec,

@@ -92,9 +92,9 @@ struct DeployedRig
         bmcast::VmmParams p;
         p.moderation.vmmWriteInterval = writeInterval;
         p.moderation.guestIoFreqThreshold = 1e9;
-        vmm = std::make_unique<bmcast::Vmm>(rig.eq, "vmm",
-                                            *rig.machine, kServerMac,
-                                            opts.imageSectors, p);
+        vmm = std::make_unique<bmcast::Vmm>(
+            rig.eq, "vmm", *rig.machine,
+            std::vector<net::MacAddr>{kServerMac}, opts.imageSectors, p);
         bool ready = false;
         vmm->netboot([&]() { ready = true; });
         run(60 * sim::kSec, [&]() { return ready; });
@@ -349,7 +349,7 @@ TEST_P(MediatorTest, BitmapSurvivesRebootAndResumes)
     bmcast::VmmParams p;
     p.moderation.vmmWriteInterval = 5 * sim::kMs;
     p.moderation.guestIoFreqThreshold = 1e9;
-    bmcast::Vmm vmm2(d.rig.eq, "vmm2", *d.rig.machine, kServerMac,
+    bmcast::Vmm vmm2(d.rig.eq, "vmm2", *d.rig.machine, {kServerMac},
                      d.opts.imageSectors, p);
     bool ready = false;
     vmm2.netboot([&]() { ready = true; });
@@ -383,7 +383,7 @@ TEST(Moderation, WriterSuspendsUnderGuestLoad)
     p.moderation.vmmWriteInterval = 10 * sim::kMs;
     p.moderation.guestIoFreqThreshold = 20.0;
     p.moderation.vmmWriteSuspendInterval = 100 * sim::kMs;
-    bmcast::Vmm vmm(rig.eq, "vmm", *rig.machine, kServerMac,
+    bmcast::Vmm vmm(rig.eq, "vmm", *rig.machine, {kServerMac},
                     o.imageSectors, p);
     bool ready = false;
     vmm.netboot([&]() { ready = true; });

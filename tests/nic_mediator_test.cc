@@ -88,12 +88,8 @@ bool
 spin(sim::EventQueue &eq, sim::Tick limit, Pred &&p)
 {
     sim::Tick end = eq.now() + limit;
-    while (!p()) {
-        if (eq.now() > end || eq.empty())
-            return p();
-        eq.step();
-    }
-    return true;
+    eq.stepWhile([&]() { return !p() && eq.now() <= end; });
+    return p();
 }
 
 TEST(NicMediator, VmmFetchesOverSharedNic)

@@ -399,7 +399,7 @@ deployOnce(obs::Tracer *tracer, obs::Registry *reg)
         obs::setMetrics(reg);
 
     bmcast::BmcastDeployer dep(rig.eq, "dep", *rig.machine,
-                               *rig.guest, kServerMac,
+                               *rig.guest, {kServerMac},
                                rig.opts.imageSectors,
                                rig.fastVmmParams(),
                                /*coldFirmware=*/false);

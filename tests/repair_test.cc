@@ -53,8 +53,8 @@ runHeal(const bmcast::CloudConfig &cfg, sim::FaultInjector *fi)
     auto healed = [&]() {
         return sched->idle() && sched->allHealthy();
     };
-    while (!healed() && !eq.empty() && eq.now() < 600 * sim::kSec)
-        eq.step();
+    eq.stepWhile(
+        [&]() { return !healed() && eq.now() < 600 * sim::kSec; });
 
     HealRun r;
     r.healthy = sched->allHealthy();
@@ -79,8 +79,8 @@ TEST(RepairChaos, DeadSeedIsHealedAndRedeploysClean)
     auto healed = [&]() {
         return sched->idle() && sched->allHealthy();
     };
-    while (!healed() && !eq.empty() && eq.now() < 600 * sim::kSec)
-        eq.step();
+    eq.stepWhile(
+        [&]() { return !healed() && eq.now() < 600 * sim::kSec; });
     ASSERT_TRUE(sched->allHealthy());
     EXPECT_GT(sched->stats().deadMembersSeen, 0u);
     EXPECT_GT(sched->stats().jobsCompleted, 0u);
@@ -93,9 +93,10 @@ TEST(RepairChaos, DeadSeedIsHealedAndRedeploysClean)
     // every stripe member answers, so nothing reconstructs.
     bmcast::Instance *inst = cloud.provision("img", nullptr);
     ASSERT_NE(inst, nullptr);
-    while (inst->state() != bmcast::Instance::State::BareMetal &&
-           !eq.empty() && eq.now() < 5000 * sim::kSec)
-        eq.step();
+    eq.stepWhile([&]() {
+        return inst->state() != bmcast::Instance::State::BareMetal &&
+               eq.now() < 5000 * sim::kSec;
+    });
     ASSERT_EQ(inst->state(), bmcast::Instance::State::BareMetal);
     ASSERT_TRUE(cloud.storeFabric()->catalog().verifyDisk(
         "img", inst->machine().disk().store()));
@@ -201,9 +202,8 @@ TEST(RepairChaos, ElasticTransformQueuesOnlyParityBuilds)
 
     sched->transformTo(store::ec::CodeKind::Lrc);
     EXPECT_GT(sched->stats().transforms, 0u);
-    while (!sched->idle() && !eq.empty() &&
-           eq.now() < 600 * sim::kSec)
-        eq.step();
+    eq.stepWhile(
+        [&]() { return !sched->idle() && eq.now() < 600 * sim::kSec; });
     ASSERT_TRUE(sched->idle());
     EXPECT_TRUE(sched->allHealthy());
     EXPECT_EQ(cloud.storeFabric()->placement().code().kind(),

@@ -30,8 +30,7 @@ template <typename Pred>
 bool
 runUntil(sim::EventQueue &eq, sim::Tick deadline, Pred p)
 {
-    while (!p() && !eq.empty() && eq.now() < deadline)
-        eq.step();
+    eq.stepWhile([&]() { return !p() && eq.now() < deadline; });
     return p();
 }
 
@@ -172,7 +171,7 @@ TEST(StoreDeploy, ReleasedPeerMidFetchFailsOverToStripe)
 
     // ...then yank the peer: release returns its cached chunks to the
     // store and takes its exporter offline with fetches in flight.
-    cloud.release(*a);
+    cloud.releaseLease(a->lease());
     EXPECT_GT(cloud.storeFabric()->stats().releasedChunks, 0u);
 
     ASSERT_TRUE(runUntil(eq, 80000 * sim::kSec,
@@ -291,7 +290,7 @@ TEST(StoreDeploy, WaveSurvivesAClaimerReleasedMidDeploy)
                waveFetches({wave.begin() + 1, wave.end()}).deferred > 0;
     }));
     ASSERT_FALSE(bareMetal(gone));
-    cloud.release(*gone);
+    cloud.releaseLease(gone->lease());
     wave.erase(wave.begin());
 
     ASSERT_TRUE(runUntil(eq, 40000 * sim::kSec, [&]() {

@@ -143,12 +143,8 @@ template <typename Pred>
 bool
 runUntil(sim::EventQueue &eq, sim::Tick deadline, Pred &&pred)
 {
-    while (!pred()) {
-        if (eq.now() > deadline || eq.empty())
-            return pred();
-        eq.step();
-    }
-    return true;
+    eq.stepWhile([&]() { return !pred() && eq.now() <= deadline; });
+    return pred();
 }
 
 } // namespace testutil
