@@ -224,7 +224,8 @@ struct Cell
                     tenantSlots.push_back(core->addGuest(g));
                 }
                 // Serving TX draws on the cluster serving lane.
-                core->setGuestGate(0, ctl->servingGateFor(0, 0));
+                core->setGuestGate(
+                    0, ctl->gateFor(0, 0, cloud::Traffic::Serving));
             }
             core->install();
         }
@@ -502,7 +503,8 @@ struct Cell
         }
         fp = sim::fingerprintMix(fp, ctl->grantedBytes(0));
         fp = sim::fingerprintMix(
-            fp, static_cast<std::uint64_t>(ctl->servingDelay(0)));
+            fp, static_cast<std::uint64_t>(
+                    ctl->throttleDelay(0, cloud::Traffic::Serving)));
     }
 
     std::uint64_t
@@ -630,7 +632,7 @@ runMode(const RunParams &rp)
         if (c->doneAt > 0)
             deploySum += sim::toMBps(c->deployAtDone, c->doneAt);
         servingDelay += sim::toMicros(
-            static_cast<sim::Tick>(c->ctl->servingDelay(0)));
+            c->ctl->throttleDelay(0, cloud::Traffic::Serving));
         if (isShadow(rp.cfg) && rp.tenants >= 2) {
             o.bucketBytes = std::max(o.bucketBytes, c->bucketBytes);
             o.bucketOk =

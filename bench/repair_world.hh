@@ -192,9 +192,11 @@ class RepairWorld
             h = sim::fingerprintMix(h, rk.dead);
             h = sim::fingerprintMix(h, topo.uplinkBytes(r));
             h = sim::fingerprintMix(h, topo.downlinkBytes(r));
-            h = sim::fingerprintMix(h, congestion_->servingBytes(r));
-            h = sim::fingerprintMix(h,
-                                    congestion_->scavengerBytes(r));
+            h = sim::fingerprintMix(
+                h, congestion_->grantedBytes(r, cloud::Traffic::Serving));
+            h = sim::fingerprintMix(
+                h,
+                congestion_->grantedBytes(r, cloud::Traffic::Scavenger));
             h = sim::fingerprintMix(h,
                                     congestion_->scavengerDelay(r));
         }
@@ -331,8 +333,9 @@ class RepairWorld
                                 Region::SameRack::Mailbox);
                     return;
                 }
-                sim::Tick at = congestion_->admitScavenger(
-                    srcRack, 0, bytes, sq.now());
+                sim::Tick at = congestion_->admit(
+                    srcRack, 0, bytes, sq.now(),
+                    cloud::Traffic::Scavenger);
                 sq.scheduleAt(std::max(at, sq.now()), [this, job,
                                                        srcRack,
                                                        bytes]() {
@@ -399,8 +402,9 @@ class RepairWorld
             if (racks_[r].dead)
                 return;
             sim::EventQueue &q = region.queue(r);
-            sim::Tick at = congestion_->admitServing(
-                r, 0, prm.servingBurst, q.now());
+            sim::Tick at = congestion_->admit(r, 0, prm.servingBurst,
+                                              q.now(),
+                                              cloud::Traffic::Serving);
             q.scheduleAt(std::max(at, q.now()), [this, r]() {
                 sim::EventQueue &q2 = region.queue(r);
                 sim::Tick clear = region.topology().chargeUplink(

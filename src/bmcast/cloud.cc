@@ -90,7 +90,8 @@ Cloud::Cloud(sim::EventQueue &eq, std::string name, CloudConfig config)
             eq, this->name() + ".repair", *fabric_,
             cfg.store.repair);
         if (congestion_)
-            repair_->setRateGate(congestion_->scavengerGateFor(0, 0));
+            repair_->setRateGate(congestion_->gateFor(
+                0, 0, cloud::Traffic::Scavenger));
         repair_->start();
     }
     // The port conversion must happen here (the base is private).
