@@ -88,7 +88,7 @@ regionConfig(unsigned machines, bool store_on)
                                 cfg.store.dataShards,
                                 cfg.store.parityShards,
                                 cfg.store.lrcGroups,
-                                cfg.store.decodePenalty})
+                                store::kDecodePenalty})
             ->width();
     cfg.store.seedServers = std::max(cfg.store.seedServers, width);
     return cfg;

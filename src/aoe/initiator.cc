@@ -7,6 +7,18 @@
 
 namespace aoe {
 
+namespace {
+
+/** Per-request cap (2048 sectors = 1 MiB). */
+constexpr std::uint32_t kMaxSectorsPerRequest = 2048;
+/** Retries before each loud warning. */
+constexpr int kWarnEveryRetries = 10;
+/** Routed (store) reads fail fast after this many retries: the
+ *  streamer has other sources to try. */
+constexpr int kShardMaxRetries = 2;
+
+} // namespace
+
 AoeInitiator::AoeInitiator(sim::EventQueue &eq, std::string name,
                            net::L2Endpoint &nic_, net::MacAddr server_mac,
                            InitiatorParams params_)
@@ -27,13 +39,11 @@ AoeInitiator::readSectors(sim::Lba lba, std::uint32_t count,
     call->tokens.resize(count);
     call->readDone = std::move(done);
     call->remainingRequests =
-        (count + params.maxSectorsPerRequest - 1) /
-        params.maxSectorsPerRequest;
+        (count + kMaxSectorsPerRequest - 1) / kMaxSectorsPerRequest;
 
     std::uint32_t off = 0;
     while (off < count) {
-        std::uint32_t n =
-            std::min(params.maxSectorsPerRequest, count - off);
+        std::uint32_t n = std::min(kMaxSectorsPerRequest, count - off);
         issue(false, lba + off, n, call, off);
         off += n;
     }
@@ -50,13 +60,11 @@ AoeInitiator::writeSectors(sim::Lba lba,
     call->tokens = std::move(tokens);
     call->writeDone = std::move(done);
     call->remainingRequests =
-        (count + params.maxSectorsPerRequest - 1) /
-        params.maxSectorsPerRequest;
+        (count + kMaxSectorsPerRequest - 1) / kMaxSectorsPerRequest;
 
     std::uint32_t off = 0;
     while (off < count) {
-        std::uint32_t n =
-            std::min(params.maxSectorsPerRequest, count - off);
+        std::uint32_t n = std::min(kMaxSectorsPerRequest, count - off);
         issue(true, lba + off, n, call, off);
         off += n;
     }
@@ -76,7 +84,7 @@ void
 AoeInitiator::readSectorsVia(net::MacAddr source, sim::Lba lba,
                              std::uint32_t count, RoutedReadCallback done)
 {
-    sim::panicIfNot(count > 0 && count <= params.maxSectorsPerRequest,
+    sim::panicIfNot(count > 0 && count <= kMaxSectorsPerRequest,
                     "routed read must fit one request");
     std::uint32_t tag = nextTag++;
     Pending p;
@@ -258,8 +266,7 @@ AoeInitiator::onTimeout(std::uint32_t tag)
 
     if (p.dest != 0) {
         // Routed read: fail fast, the store tier reroutes.
-        if (p.retries >=
-            static_cast<int>(params.shardMaxRetries)) {
+        if (p.retries >= kShardMaxRetries) {
             failRouted(tag, RoutedStatus::Timeout);
             return;
         }
@@ -311,7 +318,7 @@ AoeInitiator::onTimeout(std::uint32_t tag)
         t.instant(obsTrack_.id(t), "aoe", "retransmit", now(),
                   static_cast<double>(p.retries));
     }
-    if (p.retries % params.warnEveryRetries == 0) {
+    if (p.retries % kWarnEveryRetries == 0) {
         sim::warn(name(), ": request tag ", tag, " retried ",
                   p.retries, " times (server unreachable?)");
     }

@@ -3,8 +3,8 @@
  * AoE initiator: the client side used by the BMcast VMM (copy-on-read
  * redirection and background copy) and by the image-copying baseline.
  *
- * Large transfers split into requests of at most
- * maxSectorsPerRequest; each request's data moves in MTU-sized
+ * Large transfers split into requests of at most 2048 sectors
+ * (1 MiB); each request's data moves in MTU-sized
  * fragments. Lost frames are recovered by whole-request
  * retransmission with exponential backoff (the paper's extension for
  * loss tolerance).
@@ -31,14 +31,10 @@ struct InitiatorParams
 {
     std::uint16_t major = 0;
     std::uint8_t minor = 0;
-    /** Per-request cap (2048 sectors = 1 MiB). */
-    std::uint32_t maxSectorsPerRequest = 2048;
     /** Floor for the retransmission timeout (well above a loaded
      *  server's worst-case service time; retransmission is for
      *  loss, not for pacing). */
     sim::Tick minTimeout = 80 * sim::kMs;
-    /** Retries before each loud warning. */
-    int warnEveryRetries = 10;
     /**
      * Retry budget per request: once exhausted the error handler
      * decides (default: drop the request and surface a terminal
@@ -52,10 +48,9 @@ struct InitiatorParams
     std::uint64_t seed = 1;
     /**
      * Routed (store) reads fail fast instead of retrying forever: the
-     * streamer has other sources to try.  Separate budget and timeout
-     * floor from the legacy path.
+     * streamer has other sources to try.  Timeout floor of that
+     * separate, two-retry budget.
      */
-    std::uint32_t shardMaxRetries = 2;
     sim::Tick shardMinTimeout = 40 * sim::kMs;
 };
 

@@ -6,6 +6,25 @@
 
 namespace aoe {
 
+namespace {
+
+/** Backing-store streaming rates (shared by all workers). */
+constexpr double kDiskReadMBps = 400.0;
+constexpr double kDiskWriteMBps = 300.0;
+/** Per-operation backing-store latency. */
+constexpr sim::Tick kDiskLatency = 200 * sim::kUs;
+/** Seek + rotation when an access does not continue the previous
+ *  one (the image lives on a mechanical drive). */
+constexpr sim::Tick kDiskSeek = 12 * sim::kMs;
+/**
+ * Fraction of the media-write time the client still waits for
+ * before the ack (file servers ack from the page cache but commit
+ * pressure leaks into the client-visible latency).
+ */
+constexpr double kWriteAckMediaFraction = 0.3;
+
+} // namespace
+
 AoeServer::AoeServer(sim::EventQueue &eq, std::string name,
                      net::Port &port_, ServerParams params)
     : sim::SimObject(eq, std::move(name)),
@@ -196,14 +215,12 @@ AoeServer::diskOccupy(sim::Lba lba, std::uint32_t sectors,
 {
     if (cache_hit)
         *cache_hit = false;
-    double rate = (is_write ? params_.diskWriteMBps
-                            : params_.diskReadMBps) *
-                  1e6;
+    double rate = (is_write ? kDiskWriteMBps : kDiskReadMBps) * 1e6;
     sim::Bytes bytes = sim::Bytes(sectors) * sim::kSectorSize;
     auto xfer = static_cast<sim::Tick>(
         static_cast<double>(bytes) / rate *
         static_cast<double>(sim::kSec));
-    sim::Tick svc = params_.diskLatency + xfer;
+    sim::Tick svc = kDiskLatency + xfer;
     if (!is_write && params_.cacheHitRate > 0.0 &&
         rng.chance(params_.cacheHitRate)) {
         // Page-cache hit: no media access. The head position still
@@ -220,7 +237,7 @@ AoeServer::diskOccupy(sim::Lba lba, std::uint32_t sectors,
     // the logical LBAs it touches have gaps. Only a backward jump
     // (another client's stream rewinding the head) pays the seek.
     if (shard_stream ? lba < diskHead : lba != diskHead)
-        svc += params_.diskSeek;
+        svc += kDiskSeek;
     diskHead = lba + sectors;
     sim::Tick start = std::max(earliest, diskFreeAt);
     sim::Tick end = start + svc;
@@ -323,7 +340,7 @@ AoeServer::serve(unsigned worker, Job job)
             cpu_done + params_.cpuPerFragment +
             static_cast<sim::Tick>(
                 static_cast<double>(disk_done - cpu_done) *
-                params_.writeAckMediaFraction);
+                kWriteAckMediaFraction);
         // Commit content at ack time (read-your-writes).  Epoch
         // guard: a crash before the ack loses the dirty data.
         eventQueue().scheduleAt(ack_at, [this, e = epoch_, target,
@@ -371,7 +388,7 @@ AoeServer::serve(unsigned worker, Job job)
     bool cache_hit = false;
     sim::Tick disk_done =
         diskOccupy(req.lba, count, false, cpu_done, &cache_hit, shard);
-    double rate = params_.diskReadMBps * 1e6;
+    double rate = kDiskReadMBps * 1e6;
 
     std::uint32_t per_frame = sectorsPerFrame(port.config().mtu);
     sim::Tick t = cpu_done;

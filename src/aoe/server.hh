@@ -36,14 +36,6 @@ struct ServerParams
     sim::Tick cpuPerRequest = 30 * sim::kUs;
     /** CPU per response/ack frame prepared. */
     sim::Tick cpuPerFragment = 6 * sim::kUs;
-    /** Backing-store streaming rates (shared by all workers). */
-    double diskReadMBps = 400.0;
-    double diskWriteMBps = 300.0;
-    /** Per-operation backing-store latency. */
-    sim::Tick diskLatency = 200 * sim::kUs;
-    /** Seek + rotation when an access does not continue the
-     *  previous one (the image lives on a mechanical drive). */
-    sim::Tick diskSeek = 12 * sim::kMs;
     /**
      * Probability that a read is served from the server's page
      * cache. Zero for the raw block-device vblade of the prototype;
@@ -51,12 +43,6 @@ struct ServerParams
      * caching.
      */
     double cacheHitRate = 0.0;
-    /**
-     * Fraction of the media-write time the client still waits for
-     * before the ack (file servers ack from the page cache but
-     * commit pressure leaks into the client-visible latency).
-     */
-    double writeAckMediaFraction = 0.3;
 };
 
 /** One exported target (a disk image). */

@@ -10,6 +10,12 @@ namespace bmcast {
 
 namespace {
 
+/** Depth of the retriever->writer FIFO (blocks). */
+constexpr std::size_t kCopyFifoDepth = 8;
+
+/** Window over which guest I/O frequency is measured (§3.3). */
+constexpr sim::Tick kGuestIoWindow = 1 * sim::kSec;
+
 /**
  * Split fetched tokens into maximal single-content-base runs.  Flat
  * images produce one run (the legacy path); overlay images served by
@@ -46,7 +52,7 @@ BackgroundCopy::BackgroundCopy(sim::EventQueue &eq, std::string name,
       bitmap(bitmap_), fetch(std::move(fetch_)),
       imageSectors(image_sectors), fetchAlign(fetch_align_sectors),
       onComplete(std::move(on_complete)),
-      guestIoRate(params_.moderation.guestIoWindow),
+      guestIoRate(kGuestIoWindow),
       obsTrack_(this->name())
 {
 }
@@ -109,10 +115,8 @@ BackgroundCopy::stopSuspendPoll()
 }
 
 void
-BackgroundCopy::noteGuestIo(bool is_write, std::uint32_t sectors)
+BackgroundCopy::noteGuestIo()
 {
-    (void)is_write;
-    (void)sectors;
     guestIoRate.record(now());
     // Only the moderation rate: the cursor follows the guest through
     // stashFetched(), not here.
@@ -158,7 +162,7 @@ BackgroundCopy::retrieverLoop()
 {
     if (!running || done || retrieverBusy)
         return;
-    if (fifo.size() >= params.copyFifoDepth)
+    if (fifo.size() >= kCopyFifoDepth)
         return; // writer drains, then re-kicks us
 
     // Pick the next block to fetch at/after the cursor, wrapping

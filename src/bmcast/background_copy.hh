@@ -82,8 +82,8 @@ class BackgroundCopy : public sim::SimObject
     void stashFetched(sim::Lba lba, std::uint32_t count,
                       const std::vector<std::uint64_t> &tokens);
 
-    /** Mediators report guest I/O (moderation + seek locality). */
-    void noteGuestIo(bool isWrite, std::uint32_t sectors);
+    /** Mediators report each guest I/O (moderation rate meter). */
+    void noteGuestIo();
 
     /**
      * Bind a deployment-bandwidth gate (cloud congestion control):

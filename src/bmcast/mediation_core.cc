@@ -62,7 +62,7 @@ MediationCore::onGuestWrite(std::uint32_t key, sim::Lba lba,
         svc.onGuestWriteRange(lba, count);
     ++stats_.passthroughWrites;
     if (svc.onGuestIo)
-        svc.onGuestIo(true, count);
+        svc.onGuestIo();
     return true;
 }
 
@@ -71,7 +71,7 @@ MediationCore::onGuestRead(std::uint32_t key, sim::Lba lba,
                            std::uint32_t count, const SgProvider &sg)
 {
     if (svc.onGuestIo)
-        svc.onGuestIo(false, count);
+        svc.onGuestIo();
     bool overlaps_reserved =
         lba < svc.reservedEnd && svc.reservedBase < lba + count;
     if (overlaps_reserved) {
@@ -431,16 +431,7 @@ MediationCore::vmmWrite(sim::Lba lba, std::uint32_t count,
     op.count = count;
     op.contentBase = content_base;
     op.writeDone = std::move(done);
-    if (canStartVmmOp()) {
-        state_ = State::VmmActive;
-        startVmmOp(std::move(op));
-        return true;
-    }
-    if (!pendingOp) {
-        pendingOp = std::make_unique<VmmOp>(std::move(op));
-        return true;
-    }
-    return false;
+    return submit(std::move(op));
 }
 
 bool
@@ -453,6 +444,12 @@ MediationCore::vmmRead(
     op.lba = lba;
     op.count = count;
     op.readDone = std::move(done);
+    return submit(std::move(op));
+}
+
+bool
+MediationCore::submit(VmmOp op)
+{
     if (canStartVmmOp()) {
         state_ = State::VmmActive;
         startVmmOp(std::move(op));

@@ -82,7 +82,7 @@ struct MediatorServices
         stashFetched;
 
     /** Guest I/O notification feeding the moderation rate meter. */
-    std::function<void(bool isWrite, std::uint32_t sectors)> onGuestIo;
+    std::function<void()> onGuestIo;
 
     /** Guest-write range notification (issue time).  The store tier
      *  uses it to stop offering chunks the tenant has dirtied. */
@@ -349,6 +349,9 @@ class MediationCore
     void finishRedirectDataPhase();
     void issueDummyRestart();
     void onRestartComplete();
+    /** Start @p op now, or park it as the one pending op.
+     *  @retval false a pending op is already parked. */
+    bool submit(VmmOp op);
     void startVmmOp(VmmOp op);
     bool canStartVmmOp() const;
     void checkVmmOpCompletion();

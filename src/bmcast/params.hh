@@ -23,9 +23,13 @@ struct ModerationParams
     sim::Tick vmmWriteInterval = 12 * sim::kMs;
     /** Sleep when the guest is busy. */
     sim::Tick vmmWriteSuspendInterval = 200 * sim::kMs;
-    /** Window over which guest I/O frequency is measured. */
-    sim::Tick guestIoWindow = 1 * sim::kSec;
 };
+
+/** Memory reserved from the guest via the BIOS map (§4.3: 128 MB,
+ *  not yet released after de-virtualization). */
+inline constexpr sim::Bytes kReservedBytes = 128 * sim::kMiB;
+/** Where the reservation sits in the physical map. */
+inline constexpr sim::Addr kReservedBase = 0x78000000; // 2 GiB - 128 MiB
 
 /** VMM configuration. */
 struct VmmParams
@@ -34,46 +38,13 @@ struct VmmParams
      *  6x faster than KVM's 30 s host boot). */
     sim::Tick bootTime = 5 * sim::kSec;
 
-    /** Memory reserved from the guest via the BIOS map (§4.3:
-     *  128 MB, not yet released after de-virtualization). */
-    sim::Bytes reservedBytes = 128 * sim::kMiB;
-    /** Where the reservation sits in the physical map. */
-    sim::Addr reservedBase = 0x78000000; // 2 GiB - 128 MiB
-
-    /** Preemption-timer polling interval (§4.1: estimated from
-     *  recent RTT and I/O latency; this is the default). */
-    sim::Tick pollInterval = 100 * sim::kUs;
-    /** CPU consumed by one poll pass (drivers + mediators). */
-    sim::Tick pollCost = 4 * sim::kUs;
-
     /** Sectors per background-copy block (Fig. 14 uses 1024 KB). */
     std::uint32_t copyBlockSectors = 2048;
 
-    /** Depth of the retriever->writer FIFO (blocks). */
-    std::size_t copyFifoDepth = 8;
-
     ModerationParams moderation;
 
-    /**
-     * Deployment-phase cost profile inputs (paper §5.2): TLB miss
-     * rate up to 5x, miss latency 2x under nested paging; ~6% total
-     * CPU (5% deployment threads + 1% VMM core).
-     */
-    double tlbMissRateMult = 5.0;
-    double tlbMissLatencyMult = 2.0;
-    double deployCpuWork = 0.05;
-    double coreCpuWork = 0.01;
-    /** BMcast's own cache footprint is small. */
-    double cachePollution = 0.01;
-    /** RDMA latency overhead while deploying (§5.5.3: <1%). */
-    double rdmaOverheadDeploy = 0.008;
-
-    /** Reserved on-disk region (block bitmap + dummy sector) size. */
-    std::uint32_t reservedDiskSectors = 2048;
-
-    /** AoE target (shelf/slot) holding this instance's image. */
+    /** AoE shelf holding this instance's image (slot 0). */
     std::uint16_t aoeMajor = 0;
-    std::uint8_t aoeMinor = 0;
 
     /**
      * Per-request AoE retry budget before the VMM's error handler
@@ -81,8 +52,6 @@ struct VmmParams
      * Forwarded to InitiatorParams::maxRetries.
      */
     int aoeMaxRetries = 24;
-    /** Floor for the AoE retransmission timeout. */
-    sim::Tick aoeMinTimeout = 80 * sim::kMs;
 };
 
 } // namespace bmcast

@@ -11,6 +11,31 @@
 
 namespace bmcast {
 
+namespace {
+
+/** Preemption-timer polling interval (§4.1: estimated from recent
+ *  RTT and I/O latency; this is the default). */
+constexpr sim::Tick kPollInterval = 100 * sim::kUs;
+
+/** Reserved on-disk region (block bitmap + dummy sector) size. */
+constexpr std::uint32_t kReservedDiskSectors = 2048;
+
+/**
+ * Deployment-phase cost profile (paper §5.2): TLB miss rate up to
+ * 5x, miss latency 2x under nested paging; ~6% total CPU (5%
+ * deployment threads, polling included, + 1% VMM core).
+ */
+constexpr double kTlbMissRateMult = 5.0;
+constexpr double kTlbMissLatencyMult = 2.0;
+constexpr double kDeployCpuWork = 0.05;
+constexpr double kCoreCpuWork = 0.01;
+/** BMcast's own cache footprint is small. */
+constexpr double kCachePollution = 0.01;
+/** RDMA latency overhead while deploying (§5.5.3: <1%). */
+constexpr double kRdmaOverheadDeploy = 0.008;
+
+} // namespace
+
 Vmm::Vmm(sim::EventQueue &eq, std::string name, hw::Machine &machine,
          std::vector<net::MacAddr> server_macs,
          sim::Lba image_sectors, VmmParams params,
@@ -22,9 +47,9 @@ Vmm::Vmm(sim::EventQueue &eq, std::string name, hw::Machine &machine,
 {
     sim::fatalIf(serverMacs.empty(), "VMM needs >= 1 AoE server");
     sim::Lba total = machine_.disk().capacitySectors();
-    sim::fatalIf(imageSectors + params_.reservedDiskSectors > total,
+    sim::fatalIf(imageSectors + kReservedDiskSectors > total,
                  "image does not fit the local disk");
-    bitmapHome = total - params_.reservedDiskSectors;
+    bitmapHome = total - kReservedDiskSectors;
     dummy = total - 1;
 }
 
@@ -58,13 +83,11 @@ Vmm::deployProfile() const
     p.name = "bmcast-deploy";
     p.virtualized = true;
     p.nestedPaging = true;
-    // §5.2: ~6% CPU total — 5% deployment threads (incl. polling),
-    // 1% VMM core.
-    p.vmmCpuSteal = params_.deployCpuWork + params_.coreCpuWork;
-    p.tlbMissRateMult = params_.tlbMissRateMult;
-    p.tlbMissLatencyMult = params_.tlbMissLatencyMult;
-    p.cachePollutionFactor = params_.cachePollution;
-    p.rdmaLatencyOverhead = params_.rdmaOverheadDeploy;
+    p.vmmCpuSteal = kDeployCpuWork + kCoreCpuWork;
+    p.tlbMissRateMult = kTlbMissRateMult;
+    p.tlbMissLatencyMult = kTlbMissLatencyMult;
+    p.cachePollutionFactor = kCachePollution;
+    p.rdmaLatencyOverhead = kRdmaOverheadDeploy;
     // Interrupts are NOT virtualized (mediators poll instead), so no
     // per-interrupt or per-I/O software cost is added.
     return p;
@@ -89,10 +112,8 @@ Vmm::installVmm()
     if (halted)
         return; // powered off during the netboot delay
     // Reserve our memory by manipulating the BIOS map (§3.4).
-    machine_.firmware().reserve(params_.reservedBase,
-                                params_.reservedBytes);
-    arena = std::make_unique<hw::MemArena>(params_.reservedBase,
-                                           params_.reservedBytes);
+    machine_.firmware().reserve(kReservedBase, kReservedBytes);
+    arena = std::make_unique<hw::MemArena>(kReservedBase, kReservedBytes);
 
     // Only the dedicated management NIC is initialized by the VMM
     // (§3.1); polling mode, interrupts masked (§4.3).
@@ -102,18 +123,13 @@ Vmm::installVmm()
         machine_.mem(), *arena, hw::E1000Driver::Mode::Polling);
     aoe::InitiatorParams aoe_params;
     aoe_params.major = params_.aoeMajor;
-    aoe_params.minor = params_.aoeMinor;
     aoe_params.maxRetries = params_.aoeMaxRetries;
-    aoe_params.minTimeout = params_.aoeMinTimeout;
     aoe_params.seed = machine_.config().seed;
     const bool store_on =
         storeSpec_.fabric && storeSpec_.fabric->params().enabled;
-    if (store_on) {
-        aoe_params.shardMaxRetries =
-            storeSpec_.fabric->params().shardMaxRetries;
+    if (store_on)
         aoe_params.shardMinTimeout =
             storeSpec_.fabric->params().shardMinTimeout;
-    }
     aoe_ = std::make_unique<aoe::AoeInitiator>(
         eventQueue(), name() + ".aoe", *nicDriver,
         serverMacs[serverIdx], aoe_params);
@@ -196,9 +212,9 @@ Vmm::installVmm()
         if (copy)
             copy->stashFetched(lba, count, t);
     };
-    svc.onGuestIo = [this](bool is_write, std::uint32_t sectors) {
+    svc.onGuestIo = [this]() {
         if (copy)
-            copy->noteGuestIo(is_write, sectors);
+            copy->noteGuestIo();
     };
     // Guest writes poison store chunks (the pristine image content
     // is gone, so stop offering them as a peer source) and feed the
@@ -303,7 +319,7 @@ Vmm::enterMediation()
     // Poll loop on the VT-x preemption timer (§4.1); runs until the
     // bare-metal phase is reached.
     machine_.vmx().startPreemptionTimer(
-        params_.pollInterval, [this]() {
+        kPollInterval, [this]() {
             if (halted)
                 return false;
             pollLoop();
@@ -392,6 +408,12 @@ void
 Vmm::requestDevirtualization()
 {
     devirtRequested = true;
+    retryDevirtualizeOnQuiesce();
+}
+
+void
+Vmm::retryDevirtualizeOnQuiesce()
+{
     // A never-idle guest quiesces only momentarily inside interrupt
     // acknowledgements; have the mediator call us at that instant.
     mediator().setQuiesceCallback([this]() {
@@ -406,10 +428,7 @@ Vmm::tryDevirtualize()
     // Wait for a consistent hardware state (§3.1): no guest command,
     // redirection or VMM command in flight.
     if (!mediator().quiescent() || bitmapSaveInFlight) {
-        mediator().setQuiesceCallback([this]() {
-            if (devirtRequested && !devirtStarted)
-                tryDevirtualize();
-        });
+        retryDevirtualizeOnQuiesce();
         return;
     }
     if (devirtStarted)
@@ -520,7 +539,7 @@ Vmm::revirtualize(std::function<bool()> guest_idle,
     // no command queued or in flight. The guest keeps running; poll
     // for the next such instant.
     if (!guest_idle()) {
-        schedule(params_.pollInterval,
+        schedule(kPollInterval,
                  [this, guest_idle = std::move(guest_idle),
                   ready = std::move(ready)]() mutable {
                      if (phase_ != Phase::BareMetal || halted)

@@ -227,6 +227,9 @@ class Vmm : public sim::SimObject
     void armPeriodicBitmapSave();
     void pollLoop();
     void tryDevirtualize();
+    /** Have the mediator call tryDevirtualize at its next quiescent
+     *  instant (while a requested de-virtualization has not begun). */
+    void retryDevirtualizeOnQuiesce();
     void persistBitmap(std::function<void()> done);
     void persistBitmapAttempt(std::uint64_t token,
                               std::function<void()> done);

@@ -13,7 +13,7 @@ StoreFabric::StoreFabric(sim::EventQueue &eq, std::string name,
                               ec::CodeParams{params.dataShards,
                                              params.parityShards,
                                              params.lrcGroups,
-                                             params.decodePenalty}),
+                                             kDecodePenalty}),
                  std::move(seed_macs)),
       obsTrack_(this->name())
 {
@@ -35,7 +35,7 @@ StoreFabric::attachPeer(net::Network &lan, net::MacAddr mac,
         if (!port)
             port = &lan.attach(mac, net::PortConfig{1e9, 9000, 0.0});
         auto server = std::make_unique<aoe::AoeServer>(
-            eventQueue(), label, *port, params_.peerService);
+            eventQueue(), label, *port, aoe::ServerParams{});
         if (faults_)
             server->setFaultInjector(faults_);
         it = peerServers_.emplace(mac, std::move(server)).first;

@@ -50,6 +50,10 @@ struct RepairParams
     double wireBps = 1e9;
 };
 
+/** Modeled Reed–Solomon decode cost when parity substitutes for a
+ *  dead data member. */
+inline constexpr sim::Tick kDecodePenalty = 2 * sim::kMs;
+
 /** Store subsystem configuration (all-default = legacy behaviour). */
 struct StoreParams
 {
@@ -72,23 +76,8 @@ struct StoreParams
     /** Seed AoE servers in the pool. */
     unsigned seedServers = 6;
 
-    /** Modeled Reed–Solomon decode cost when parity substitutes for
-     *  a dead data member. */
-    sim::Tick decodePenalty = 2 * sim::kMs;
-
-    /** Retry delay when no source set can currently serve a chunk. */
-    sim::Tick noSourceRetry = 250 * sim::kMs;
-
-    /** How long a failed source stays deprioritized. */
-    sim::Tick suspectTtl = 2 * sim::kSec;
-
-    /** Routed-read failure budget/floor (see InitiatorParams). */
-    std::uint32_t shardMaxRetries = 2;
+    /** Routed-read timeout floor (see InitiatorParams). */
     sim::Tick shardMinTimeout = 40 * sim::kMs;
-
-    /** Service model of the peer-side chunk exporter (lighter than a
-     *  seed server: it shares the node's disk with the tenant). */
-    aoe::ServerParams peerService;
 };
 
 /** Counters the fabric aggregates across all deployments. */

@@ -293,7 +293,7 @@ RepairScheduler::transformTo(ec::CodeKind kind)
     const StoreParams &sp = fabric_.params();
     std::shared_ptr<const ec::Code> new_code = ec::makeCode(
         kind, ec::CodeParams{sp.dataShards, sp.parityShards,
-                             sp.lrcGroups, sp.decodePenalty});
+                             sp.lrcGroups, kDecodePenalty});
 
     std::map<Digest, std::uint32_t> digests = catalogDigests();
     std::map<Digest, std::vector<net::MacAddr>> old_stripes;

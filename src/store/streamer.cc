@@ -11,6 +11,12 @@ namespace {
 /** Failed attempts on a piece before backing off to a timed retry. */
 constexpr unsigned kMaxPieceAttempts = 32;
 
+/** Retry delay when no source set can currently serve a chunk. */
+constexpr sim::Tick kNoSourceRetry = 250 * sim::kMs;
+
+/** How long a failed source stays deprioritized. */
+constexpr sim::Tick kSuspectTtl = 2 * sim::kSec;
+
 } // namespace
 
 ChunkStreamer::ChunkStreamer(sim::EventQueue &eq, std::string name,
@@ -82,7 +88,7 @@ ChunkStreamer::startPiece(const std::shared_ptr<FetchOp> &op,
         // Everything reachable failed repeatedly; pause and retry
         // fresh (sources may restart or lose their suspect mark).
         ++stalls_;
-        schedule(fabric_.params().noSourceRetry,
+        schedule(kNoSourceRetry,
                  [this, op, piece]() { startPiece(op, piece, 0); });
         return;
     }
@@ -140,7 +146,7 @@ ChunkStreamer::fetchFromSeeds(const std::shared_ptr<FetchOp> &op,
         // Too few stripe members reachable: the chunk cannot be
         // reconstructed right now.  Park the piece and retry.
         ++stalls_;
-        schedule(fabric_.params().noSourceRetry,
+        schedule(kNoSourceRetry,
                  [this, op, piece]() { startPiece(op, piece, 0); });
         return;
     }
@@ -242,7 +248,7 @@ ChunkStreamer::commit(const std::shared_ptr<FetchOp> &op,
 void
 ChunkStreamer::suspect(net::MacAddr mac)
 {
-    suspectUntil_[mac] = now() + fabric_.params().suspectTtl;
+    suspectUntil_[mac] = now() + kSuspectTtl;
 }
 
 bool

@@ -762,7 +762,7 @@ TEST(VmmMemory, ReservedViaE820)
 
     // The BIOS map hides the VMM region from the guest (§3.4)...
     EXPECT_TRUE(rig.machine->firmware().overlapsReserved(
-        p.reservedBase, p.reservedBytes));
+        bmcast::kReservedBase, bmcast::kReservedBytes));
     // ...and, as in the prototype (§4.3), it is NOT released after
     // de-virtualization.
     bool bare = false;
@@ -771,7 +771,7 @@ TEST(VmmMemory, ReservedViaE820)
     ASSERT_TRUE(runUntil(rig.eq, 40000 * sim::kSec,
                          [&]() { return bare; }));
     EXPECT_TRUE(rig.machine->firmware().overlapsReserved(
-        p.reservedBase, p.reservedBytes));
+        bmcast::kReservedBase, bmcast::kReservedBytes));
 }
 
 // --- Moderation edge settings ---
