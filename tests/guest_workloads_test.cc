@@ -12,7 +12,6 @@
 #include "baselines/image_copy.hh"
 #include "baselines/kvm.hh"
 #include "baselines/net_root.hh"
-#include "baselines/on_demand_virt.hh"
 #include "tests/test_util.hh"
 #include "workloads/cpu_model.hh"
 #include "workloads/fio.hh"
@@ -483,20 +482,6 @@ TEST(NetRoot, EveryOpCrossesTheNetwork)
     EXPECT_GT(rig.server->requestsServed(), served_before);
     EXPECT_EQ(rig.machine->disk().reads(), 0u)
         << "network boot never touches the local disk";
-}
-
-TEST(OnDemandVirt, ConversionCostsDowntime)
-{
-    sim::EventQueue eq;
-    baselines::OnDemandVirt odv(eq, "odv");
-    bool done = false;
-    odv.convert([&]() { done = true; });
-    eq.run();
-    EXPECT_TRUE(done);
-    EXPECT_EQ(odv.totalDowntime(), 90 * sim::kSec);
-    EXPECT_FALSE(odv.params().osTransparent);
-    // BMcast's de-virtualization is orders of magnitude cheaper and
-    // OS-transparent; the bench abl_exit_rate quantifies it.
 }
 
 } // namespace
