@@ -198,28 +198,53 @@ TEST(IoBus, InterceptorSeesGuestAccessesOnly)
                                    return 7ull;
                                },
                                nullptr});
+    // A second, never-intercepted range: its window counts no exits.
+    bus.addDevice(hw::IoSpace::Pio, 0x170, 8,
+                  hw::IoDevice{"ide2", nullptr, nullptr});
     CountingInterceptor icpt;
     bus.intercept(hw::IoSpace::Pio, 0x1F0, 8, &icpt);
+    auto exits = [&] {
+        EXPECT_EQ(bus.interceptedIn(hw::IoSpace::Pio, 0x1F0, 8),
+                  bus.interceptedAccesses());
+        return bus.interceptedAccesses();
+    };
 
     // Guest access exits and forwards (swallow=false).
     EXPECT_EQ(bus.guestRead(hw::IoSpace::Pio, 0x1F7, 1), 7u);
     EXPECT_EQ(icpt.reads, 1);
     EXPECT_EQ(dev_reads, 1);
+    EXPECT_EQ(exits(), 1u);
 
     // VMM access never exits.
     EXPECT_EQ(bus.vmmRead(hw::IoSpace::Pio, 0x1F7, 1), 7u);
+    bus.vmmWrite(hw::IoSpace::Pio, 0x1F7, 0x20, 1);
     EXPECT_EQ(icpt.reads, 1);
+    EXPECT_EQ(icpt.writes, 0);
+    EXPECT_EQ(exits(), 1u);
 
     // Swallowed access does not reach the device.
     icpt.swallow = true;
     EXPECT_EQ(bus.guestRead(hw::IoSpace::Pio, 0x1F7, 1), 0x55u);
     EXPECT_EQ(dev_reads, 2);
+    bus.guestWrite(hw::IoSpace::Pio, 0x1F7, 0x20, 1);
+    EXPECT_EQ(icpt.writes, 1);
+    EXPECT_EQ(exits(), 3u);
+
+    // Guest accesses to the unintercepted range never exit.
+    bus.guestRead(hw::IoSpace::Pio, 0x170, 1);
+    bus.guestWrite(hw::IoSpace::Pio, 0x170, 0x20, 1);
+    EXPECT_EQ(bus.interceptedIn(hw::IoSpace::Pio, 0x170, 8), 0u);
+    EXPECT_EQ(bus.interceptedIn(hw::IoSpace::Mmio, 0x1F0, 8), 0u);
+    EXPECT_EQ(bus.interceptedAccesses(), 3u);
 
     EXPECT_TRUE(bus.anyInterceptActive());
     bus.removeIntercept(hw::IoSpace::Pio, 0x1F0, 8);
     EXPECT_FALSE(bus.anyInterceptActive());
     EXPECT_EQ(bus.guestRead(hw::IoSpace::Pio, 0x1F7, 1), 7u);
+    bus.guestWrite(hw::IoSpace::Pio, 0x1F7, 0x20, 1);
     EXPECT_EQ(icpt.reads, 2); // no more exits
+    EXPECT_EQ(icpt.writes, 1);
+    EXPECT_EQ(exits(), 3u);
 }
 
 // --- Disk service model ---
