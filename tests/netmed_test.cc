@@ -274,8 +274,9 @@ TEST_P(NetmedModeTest, RateLimitCapsGuestThroughput)
     // Budget: rate * 1 s + initial burst + one in-flight frame.
     EXPECT_LE(delivered, sim::Bytes(1e6) + qos.burstBytes + 2 * 1538);
     EXPECT_GE(delivered, sim::Bytes(3e5)); // and it makes progress
-    if (GetParam() != netmed::MedMode::Passthrough)
+    if (GetParam() != netmed::MedMode::Passthrough) {
         EXPECT_GT(w.core->stats().txThrottled, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
