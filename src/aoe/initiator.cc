@@ -364,7 +364,6 @@ AoeInitiator::onFrame(const net::Frame &frame)
     if (p.isWrite) {
         if (!p.acked) {
             p.acked = true;
-            bytesWritten += sim::Bytes(p.count) * sim::kSectorSize;
             completeRequest(m.tag, p);
         }
         return;
@@ -447,7 +446,6 @@ AoeInitiator::failRouted(std::uint32_t tag, RoutedStatus status)
         return;
     Pending &p = it->second;
     eventQueue().cancel(p.timer);
-    ++numShardFailures;
     if (status == RoutedStatus::BadDigest)
         ++numDigestMismatches;
     if (obs::armed()) {

@@ -154,11 +154,8 @@ class AoeInitiator : public sim::SimObject
     /** Requests that exhausted their retry budget. */
     std::uint64_t terminalErrors() const { return numErrors; }
     sim::Bytes dataBytesRead() const { return bytesRead; }
-    sim::Bytes dataBytesWritten() const { return bytesWritten; }
     std::size_t inflight() const { return pending.size(); }
     sim::Tick rttEstimate() const { return rttEma; }
-    /** Routed reads that failed (timeout, error, or bad digest). */
-    std::uint64_t shardFailures() const { return numShardFailures; }
     /** Routed reads rejected for a digest mismatch. */
     std::uint64_t shardDigestMismatches() const
     {
@@ -221,10 +218,8 @@ class AoeInitiator : public sim::SimObject
     std::uint64_t numRequests = 0;
     std::uint64_t numRetx = 0;
     std::uint64_t numErrors = 0;
-    std::uint64_t numShardFailures = 0;
     std::uint64_t numDigestMismatches = 0;
     sim::Bytes bytesRead = 0;
-    sim::Bytes bytesWritten = 0;
 
     /** Flow/async correlation id shared with the server side: both
      *  ends derive it from (client MAC, tag) alone. */

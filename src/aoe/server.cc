@@ -189,7 +189,6 @@ void
 AoeServer::enqueue(Job job)
 {
     queue.push_back(std::move(job));
-    maxQueue = std::max(maxQueue, queue.size());
     dispatch();
 }
 
@@ -258,7 +257,6 @@ AoeServer::serve(unsigned worker, Job job)
     if (shard && faults && faults->anyActive() &&
         faults->shouldFire(sim::FaultSite::StoreSourceTimeout,
                            req.lba)) {
-        ++numShardTimeouts;
         return;
     }
 
@@ -415,7 +413,6 @@ AoeServer::serve(unsigned worker, Job job)
                 faults->shouldFire(sim::FaultSite::StoreShardCorrupt,
                                    frag.lba)) {
                 frag.data[0] ^= 0xBAD0BAD0BAD0BAD0ULL;
-                ++numShardCorruptions;
             }
         }
         sim::Tick data_ready =

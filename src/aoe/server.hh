@@ -78,7 +78,6 @@ class AoeServer : public sim::SimObject
     /// @{
     std::uint64_t requestsServed() const { return numServed; }
     sim::Bytes dataBytesOut() const { return bytesOut; }
-    std::size_t maxQueueDepth() const { return maxQueue; }
     /** Aggregate worker busy time (utilization across the pool). */
     sim::Tick workerBusyTime() const { return busyTime; }
     const ServerParams &params() const { return params_; }
@@ -86,10 +85,6 @@ class AoeServer : public sim::SimObject
     std::uint64_t restarts() const { return numRestarts; }
     /** Frames that arrived while the server was offline. */
     std::uint64_t framesDroppedOffline() const { return offlineDrops; }
-    /** Shard requests swallowed by an injected source timeout. */
-    std::uint64_t shardTimeouts() const { return numShardTimeouts; }
-    /** Shard fragments damaged by an injected corruption. */
-    std::uint64_t shardCorruptions() const { return numShardCorruptions; }
     /** Re-sent legacy read requests dropped because the original's
      *  response was still going out. */
     std::uint64_t duplicatesSuppressed() const { return numDupsSuppressed; }
@@ -189,13 +184,10 @@ class AoeServer : public sim::SimObject
 
     std::uint64_t numServed = 0;
     sim::Bytes bytesOut = 0;
-    std::size_t maxQueue = 0;
     sim::Tick busyTime = 0;
     std::uint64_t numCrashes = 0;
     std::uint64_t numRestarts = 0;
     std::uint64_t offlineDrops = 0;
-    std::uint64_t numShardTimeouts = 0;
-    std::uint64_t numShardCorruptions = 0;
     std::uint64_t numDupsSuppressed = 0;
 
     obs::Track obsTrack_;

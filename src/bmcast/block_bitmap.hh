@@ -82,7 +82,6 @@ class BlockBitmap
     /** True when every sector is FILLED. */
     bool complete() const { return filledCount() == total; }
 
-    sim::Lba totalSectors() const { return total; }
     std::size_t extentCount() const { return filled.intervalCount(); }
 
     /** @name Persistence (see file comment). */

@@ -154,7 +154,6 @@ class Vmm : public sim::SimObject
 
     /** Reserved-disk-region geometry (tests). */
     sim::Lba bitmapHomeLba() const { return bitmapHome; }
-    sim::Lba dummyLba() const { return dummy; }
 
     /** @name Robustness */
     /// @{

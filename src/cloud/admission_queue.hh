@@ -81,12 +81,6 @@ class AdmissionQueue
     {
         return q_[static_cast<unsigned>(c)].size();
     }
-    std::size_t
-    tenantDepth(TenantId t) const
-    {
-        auto it = perTenant_.find(t);
-        return it == perTenant_.end() ? 0 : it->second;
-    }
     /** High-water mark of the queue depth. */
     std::size_t peakDepth() const { return peak_; }
 

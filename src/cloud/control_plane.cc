@@ -145,7 +145,6 @@ ControlPlane::tryPlace(Lease &l)
     slotOwner_[slot] = &l;
     ++rackLoad_[l.rack_];
     ++stats_.placed;
-    admissionLat_.record(l.admissionLatency());
     if (obs::armed()) {
         obs::Tracer &t = obs::tracer();
         t.asyncBegin(obsTrack_.id(t), "cloud", "lease", l.id_, now());
@@ -373,12 +372,6 @@ ControlPlane::freeSlots() const
 }
 
 unsigned
-ControlPlane::busySlots() const
-{
-    return static_cast<unsigned>(slotOwner_.size()) - freeSlots();
-}
-
-unsigned
 ControlPlane::rackLoad(unsigned rack) const
 {
     return rackLoad_.at(rack);
@@ -401,43 +394,6 @@ ControlPlane::noteQueueDepth()
         t.counter(obsTrack_.id(t), "queue_depth", now(),
                   static_cast<double>(queue_.depth()));
     }
-}
-
-void
-ControlPlane::publish(obs::Registry &reg,
-                      const std::string &prefix) const
-{
-    reg.counter(prefix + "cp.submitted").set(stats_.submitted);
-    reg.counter(prefix + "cp.placed").set(stats_.placed);
-    reg.counter(prefix + "cp.served").set(stats_.served);
-    reg.counter(prefix + "cp.released").set(stats_.released);
-    reg.counter(prefix + "cp.canceled").set(stats_.canceled);
-    for (unsigned r = 1; r < stats_.rejected.size(); ++r) {
-        reg.counter(prefix + "cp.rejected",
-                    rejectReasonName(static_cast<RejectReason>(r)))
-            .set(stats_.rejected[r]);
-    }
-    reg.counter(prefix + "cp.migrated").set(stats_.migrated);
-    reg.counter(prefix + "cp.migrate_failed").set(stats_.migrateFailed);
-    for (unsigned r = 1; r < stats_.migrateRejected.size(); ++r) {
-        reg.counter(prefix + "cp.migrate_rejected",
-                    migrateRejectName(static_cast<MigrateReject>(r)))
-            .set(stats_.migrateRejected[r]);
-    }
-    reg.gauge(prefix + "cp.queue_depth")
-        .set(static_cast<double>(queue_.depth()));
-    reg.counter(prefix + "cp.queue_peak").set(queue_.peakDepth());
-    for (std::size_t r = 0; r < rackLoad_.size(); ++r) {
-        reg.gauge(prefix + "cp.rack_load",
-                  "rack" + std::to_string(r))
-            .set(static_cast<double>(rackLoad_[r]));
-    }
-    reg.gauge(prefix + "cp.admission_latency_ns", "p50")
-        .set(static_cast<double>(admissionLat_.quantile(0.5)));
-    reg.gauge(prefix + "cp.admission_latency_ns", "p99")
-        .set(static_cast<double>(admissionLat_.quantile(0.99)));
-    reg.gauge(prefix + "cp.admission_latency_ns", "max")
-        .set(static_cast<double>(admissionLat_.max()));
 }
 
 } // namespace cloud

@@ -38,7 +38,6 @@
 #include "cloud/admission_queue.hh"
 #include "cloud/lease.hh"
 #include "obs/obs.hh"
-#include "obs/registry.hh"
 #include "simcore/fault_injector.hh"
 #include "simcore/sim_object.hh"
 
@@ -184,7 +183,6 @@ class ControlPlane : public sim::SimObject
     /** @name Introspection */
     /// @{
     unsigned freeSlots() const;
-    unsigned busySlots() const;
     unsigned rackLoad(unsigned rack) const;
     std::size_t queueDepth() const { return queue_.depth(); }
     std::size_t
@@ -204,20 +202,12 @@ class ControlPlane : public sim::SimObject
     {
         return stats_.migrateRejected[static_cast<unsigned>(r)];
     }
-    /** Queue-wait distribution (ticks), recorded at placement. */
-    const obs::Histogram &admissionLatency() const
-    {
-        return admissionLat_;
-    }
     Lease *leaseById(std::uint64_t id);
     /** Every lease ever submitted, in submission order. */
     const std::vector<std::unique_ptr<Lease>> &leases() const
     {
         return leases_;
     }
-    /** Snapshot "<prefix>cp.*" metrics into @p reg. */
-    void publish(obs::Registry &reg,
-                 const std::string &prefix = "") const;
     /// @}
 
   private:
@@ -253,7 +243,6 @@ class ControlPlane : public sim::SimObject
     sim::Tick probePeriod_ = 0;
 
     ControlPlaneStats stats_;
-    obs::Histogram admissionLat_;
     obs::Track obsTrack_;
 };
 

@@ -3,17 +3,6 @@
 namespace cloud {
 
 const char *
-qosClassName(QosClass c)
-{
-    switch (c) {
-      case QosClass::Critical: return "critical";
-      case QosClass::Standard: return "standard";
-      case QosClass::Scavenger: return "scavenger";
-    }
-    return "?";
-}
-
-const char *
 rejectReasonName(RejectReason r)
 {
     switch (r) {

@@ -60,7 +60,6 @@ enum class MigrateReject : std::uint8_t {
     SameSlot,     ///< destination is the lease's current slot
 };
 
-const char *qosClassName(QosClass c);
 const char *rejectReasonName(RejectReason r);
 const char *leaseStateName(LeaseState s);
 const char *migrateRejectName(MigrateReject r);

@@ -51,9 +51,6 @@ class AhciDriver : public sim::SimObject, public BlockDriver
         return queue.empty() && busyCount == 0;
     }
 
-    /** Slots currently issued (telemetry / tests). */
-    unsigned slotsBusy() const { return busyCount; }
-
     /** Lost-IRQ recovery watchdog (see guest/irq_watchdog.hh). */
     IrqWatchdog &watchdog() { return wdog; }
 

@@ -87,7 +87,6 @@ class GuestOs : public sim::SimObject
      * harmlessly; no I/O may be issued after halt.
      */
     void halt();
-    bool isHalted() const { return halted; }
 
     /**
      * Bring up a guest whose state arrived by live migration: the
@@ -105,7 +104,6 @@ class GuestOs : public sim::SimObject
 
     hw::Machine &machine() { return machine_; }
     bool isReady() const { return ready; }
-    sim::Tick bootStartedAt() const { return bootStart; }
     sim::Tick bootDuration() const { return bootEnd - bootStart; }
     const GuestOsParams &params() const { return params_; }
 

@@ -49,23 +49,16 @@ class IrqWatchdog
     arm()
     {
         eq.cancel(timer);
-        timer = eq.schedule(timeout_, [this]() { fire(); });
+        timer = eq.schedule(kTimeout, [this]() { fire(); });
     }
 
     /** Stop watching (no commands outstanding). */
     void disarm() { eq.cancel(timer); }
 
-    void setTimeout(sim::Tick t) { timeout_ = t; }
-    sim::Tick timeout() const { return timeout_; }
-
-    /** Expiries, i.e. suspected-lost-interrupt recovery polls. */
-    std::uint64_t fires() const { return numFires; }
-
   private:
     void
     fire()
     {
-        ++numFires;
         // NOTE: poll() may destroy the owner and this watchdog with
         // it (completion callbacks can tear the driver down); touch
         // no members afterwards unless it returns true.
@@ -79,8 +72,7 @@ class IrqWatchdog
     /** Far above any legitimate command latency (including faulted
      *  network fetches behind a redirected guest read), so a fire
      *  means a completion signal really went missing. */
-    sim::Tick timeout_ = 10 * sim::kSec;
-    std::uint64_t numFires = 0;
+    static constexpr sim::Tick kTimeout = 10 * sim::kSec;
 };
 
 } // namespace guest

@@ -57,9 +57,6 @@ class NvmeDriver : public sim::SimObject, public BlockDriver
         return queue.empty() && busyCount == 0;
     }
 
-    /** Commands currently issued (telemetry / tests). */
-    unsigned slotsBusy() const { return busyCount; }
-
     /** Lost-IRQ recovery watchdog (see guest/irq_watchdog.hh). */
     IrqWatchdog &watchdog() { return wdog; }
 

@@ -46,8 +46,6 @@ class AhciController : public sim::SimObject
     void mmioWrite(sim::Addr offset, std::uint64_t value, unsigned size);
     /// @}
 
-    /** Pending command-issue bits. */
-    std::uint32_t ci() const { return ci_; }
     /** True while a slot is being executed on the media. */
     bool commandActive() const { return active; }
 

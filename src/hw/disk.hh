@@ -83,8 +83,6 @@ class Disk : public sim::SimObject
     sim::Lba capacitySectors() const { return capSectors; }
     const DiskParams &params() const { return params_; }
 
-    /** True while servicing or holding queued requests. */
-    bool busy() const { return active || !queue.empty(); }
     std::size_t queueDepth() const { return queue.size() + (active ? 1 : 0); }
 
     /** @name Telemetry */

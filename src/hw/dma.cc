@@ -35,15 +35,6 @@ forEachSector(const std::vector<SgEntry> &sg, std::uint32_t count,
 
 } // namespace
 
-sim::Bytes
-sgTotal(const std::vector<SgEntry> &sg)
-{
-    sim::Bytes total = 0;
-    for (const SgEntry &e : sg)
-        total += e.bytes;
-    return total;
-}
-
 void
 dmaToMemory(PhysMem &mem, const std::vector<SgEntry> &sg,
             const DiskStore &store, sim::Lba lba, std::uint32_t count)

@@ -24,9 +24,6 @@ struct SgEntry
     sim::Bytes bytes = 0;
 };
 
-/** Total byte length of a scatter list. */
-sim::Bytes sgTotal(const std::vector<SgEntry> &sg);
-
 /**
  * Device-to-memory DMA: place the token for each sector of
  * [lba, lba+count) at that sector's position in the scatter list.

@@ -205,7 +205,6 @@ E1000Driver::poll()
             view.write(IoSpace::Mmio, base + kRdt, rxHead, 4);
         rxHead = (rxHead + 1) % kRingSize;
 
-        ++numRx;
         ++delivered;
         if (rx)
             rx(f);

@@ -84,7 +84,6 @@ class E1000Driver : public sim::SimObject, public net::L2Endpoint
     unsigned poll();
 
     std::uint64_t framesSent() const { return numTx; }
-    std::uint64_t framesDelivered() const { return numRx; }
 
   private:
     static constexpr unsigned kRingSize = 64;
@@ -118,7 +117,6 @@ class E1000Driver : public sim::SimObject, public net::L2Endpoint
     std::deque<net::Frame> txBacklog;
 
     std::uint64_t numTx = 0;
-    std::uint64_t numRx = 0;
 };
 
 } // namespace hw

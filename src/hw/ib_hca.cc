@@ -51,7 +51,6 @@ IbHca::rdma(unsigned dst_node, sim::Bytes bytes, Callback done)
     sim::Tick fire = std::max(complete, wire_done);
 
     ++numOps;
-    numBytes += bytes;
     schedule(fire - now(), std::move(done));
 }
 

@@ -56,7 +56,6 @@ class IbHca : public sim::SimObject
     const IbParams &params() const { return params_; }
 
     std::uint64_t opsCompleted() const { return numOps; }
-    sim::Bytes bytesMoved() const { return numBytes; }
 
   private:
     friend class IbFabric;
@@ -68,7 +67,6 @@ class IbHca : public sim::SimObject
 
     sim::Tick egressFreeAt = 0;
     std::uint64_t numOps = 0;
-    sim::Bytes numBytes = 0;
 };
 
 /** The switch connecting HCAs. */

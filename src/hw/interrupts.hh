@@ -71,7 +71,6 @@ class InterruptController : public sim::SimObject
     void
     raise(unsigned vector)
     {
-        ++numRaised;
         if (faults && faults->anyActive()) {
             if (faults->shouldFire(sim::FaultSite::IrqLost, vector)) {
                 // The edge is swallowed: raised but never delivered.
@@ -86,7 +85,6 @@ class InterruptController : public sim::SimObject
                 // spurious-tolerance contract above makes this safe
                 // for correct handlers.
                 ++numInjectedSpurious;
-                ++numRaised;
                 schedule(baseLatency * 2,
                          [this, vector]() { deliver(vector); });
             }
@@ -95,12 +93,6 @@ class InterruptController : public sim::SimObject
         schedule(latency, [this, vector]() { deliver(vector); });
     }
 
-    /** Total interrupts raised. */
-    std::uint64_t raised() const { return numRaised; }
-    /** Interrupts that found a handler. */
-    std::uint64_t delivered() const { return numDelivered; }
-    /** Interrupts raised with no handler registered (dropped). */
-    std::uint64_t spurious() const { return numRaised - numDelivered; }
     /** Injected fault telemetry. */
     std::uint64_t lostIrqs() const { return numLost; }
     std::uint64_t injectedSpurious() const
@@ -121,7 +113,6 @@ class InterruptController : public sim::SimObject
         auto it = handlers.find(vector);
         if (it == handlers.end() || it->second.empty())
             return;
-        ++numDelivered;
         // Copy: a handler may (un)register during delivery.
         auto hs = it->second;
         for (auto &[id, h] : hs)
@@ -134,8 +125,6 @@ class InterruptController : public sim::SimObject
         handlers;
     HandlerId nextHandlerId = 1;
     sim::FaultInjector *faults = nullptr;
-    std::uint64_t numRaised = 0;
-    std::uint64_t numDelivered = 0;
     std::uint64_t numLost = 0;
     std::uint64_t numInjectedSpurious = 0;
 };
@@ -156,8 +145,6 @@ class IrqLine
         if (ctrl)
             ctrl->raise(vector);
     }
-
-    unsigned vectorNumber() const { return vector; }
 
   private:
     InterruptController *ctrl = nullptr;

@@ -93,18 +93,6 @@ IoBus::interceptedIn(IoSpace space, sim::Addr base,
 }
 
 std::uint64_t
-IoBus::guestAccessesIn(IoSpace space, sim::Addr base,
-                       sim::Addr size) const
-{
-    const auto &m = space == IoSpace::Pio ? pio : mmio;
-    std::uint64_t n = 0;
-    for (const auto &[b, r] : m)
-        if (r.base < base + size && base < r.base + r.size)
-            n += r.numGuestAccesses;
-    return n;
-}
-
-std::uint64_t
 IoBus::deviceRead(Range &r, sim::Addr addr, unsigned size)
 {
     if (!r.dev.read)
@@ -123,13 +111,11 @@ IoBus::deviceWrite(Range &r, sim::Addr addr, std::uint64_t value,
 std::uint64_t
 IoBus::guestRead(IoSpace space, sim::Addr addr, unsigned size)
 {
-    ++numGuestAccesses;
     Range *r = findRange(space, addr);
     if (!r) {
         // Reads from unmapped I/O space float high, as on real x86.
         return ~0ULL;
     }
-    ++r->numGuestAccesses;
     if (r->interceptor) {
         ++numIntercepted;
         ++r->numIntercepted;
@@ -146,11 +132,9 @@ void
 IoBus::guestWrite(IoSpace space, sim::Addr addr, std::uint64_t value,
                   unsigned size)
 {
-    ++numGuestAccesses;
     Range *r = findRange(space, addr);
     if (!r)
         return;
-    ++r->numGuestAccesses;
     if (r->interceptor) {
         ++numIntercepted;
         ++r->numIntercepted;

@@ -115,8 +115,6 @@ class IoBus
                   unsigned size);
     /// @}
 
-    /** Total guest accesses (for exit-rate statistics). */
-    std::uint64_t guestAccesses() const { return numGuestAccesses; }
     /** Guest accesses that caused a VM exit. */
     std::uint64_t interceptedAccesses() const { return numIntercepted; }
 
@@ -128,9 +126,6 @@ class IoBus
      */
     std::uint64_t interceptedIn(IoSpace space, sim::Addr base,
                                 sim::Addr size) const;
-    /** Total guest accesses landing in the window (exiting or not). */
-    std::uint64_t guestAccessesIn(IoSpace space, sim::Addr base,
-                                  sim::Addr size) const;
 
   private:
     struct Range
@@ -140,7 +135,6 @@ class IoBus
         IoDevice dev;
         IoInterceptor *interceptor = nullptr;
         std::uint64_t numIntercepted = 0;
-        std::uint64_t numGuestAccesses = 0;
     };
 
     Range *findRange(IoSpace space, sim::Addr addr);
@@ -153,7 +147,6 @@ class IoBus
     std::map<sim::Addr, Range> pio;
     std::map<sim::Addr, Range> mmio;
     ExitSink *exitSink = nullptr;
-    std::uint64_t numGuestAccesses = 0;
     std::uint64_t numIntercepted = 0;
 };
 
@@ -187,7 +180,6 @@ class BusView
             bus_->vmmWrite(space, addr, value, size);
     }
 
-    bool isGuestContext() const { return guestCtx; }
     IoBus &bus() const { return *bus_; }
 
   private:

@@ -82,10 +82,6 @@ class Machine : public sim::SimObject
     Firmware &firmware() { return fw; }
 
     StorageKind storageKind() const { return cfg.storage; }
-    /** Non-null when storageKind() == Ide. */
-    IdeController *ide() { return ide_.get(); }
-    /** Non-null when storageKind() == Ahci. */
-    AhciController *ahci() { return ahci_.get(); }
     /** Non-null when storageKind() == Nvme. */
     NvmeController *nvme() { return nvme_.get(); }
 

@@ -34,7 +34,6 @@ class MemArena
 
     sim::Addr base() const { return base_; }
     sim::Bytes size() const { return size_; }
-    sim::Bytes used() const { return next - base_; }
 
   private:
     sim::Addr base_;

@@ -6,22 +6,6 @@ namespace hw {
 
 using namespace e1000;
 
-const char *
-nicModelName(NicModel model)
-{
-    switch (model) {
-      case NicModel::Pro1000:
-        return "Intel PRO/1000";
-      case NicModel::X540:
-        return "Intel X540";
-      case NicModel::Rtl816x:
-        return "Realtek RTL816x";
-      case NicModel::NetXtreme:
-        return "Broadcom NetXtreme";
-    }
-    return "unknown";
-}
-
 double
 nicModelSpeed(NicModel model)
 {
@@ -180,7 +164,6 @@ E1000Nic::processTx()
 
         auto finish = [this, desc, cmd, count2](net::Frame f) {
             port_.send(std::move(f));
-            ++numTx;
 
             // Write back DD and advance head.
             mem.write8(desc + 12, static_cast<std::uint8_t>(
@@ -217,17 +200,13 @@ E1000Nic::onFrame(const net::Frame &frame)
 {
     if (rxTap && rxTap(frame)) {
         // Steered away (the VMM's traffic); the rings never see it.
-        ++numRxSteered;
         return;
     }
-    if (!(rctl & kRctlEn)) {
-        ++numRxDropped;
+    if (!(rctl & kRctlEn))
         return;
-    }
     unsigned count = rdlen / kDescSize;
     if (count == 0 || rdh == rdt) {
         // No receive descriptors available.
-        ++numRxDropped;
         return;
     }
 
@@ -259,7 +238,6 @@ E1000Nic::onFrame(const net::Frame &frame)
                 static_cast<std::uint16_t>(frame.padding >> 3));
 
     rdh = (rdh + 1) % count;
-    ++numRx;
     raiseIrq(kIcrRxt0);
 }
 

@@ -33,9 +33,6 @@ namespace hw {
 /** Adapter families supported by the BMcast prototype. */
 enum class NicModel { Pro1000, X540, Rtl816x, NetXtreme };
 
-/** Marketing name of a family. */
-const char *nicModelName(NicModel model);
-
 /** Default link speed of a family in bits per second. */
 double nicModelSpeed(NicModel model);
 
@@ -113,13 +110,7 @@ class E1000Nic : public sim::SimObject
     using RxTap = std::function<bool(const net::Frame &)>;
     void setTxTap(TxTap t) { txTap = std::move(t); }
     void setRxTap(RxTap t) { rxTap = std::move(t); }
-    /** Frames the RX tap consumed (steered to the VMM). */
-    std::uint64_t rxSteered() const { return numRxSteered; }
     /// @}
-
-    std::uint64_t framesTransmitted() const { return numTx; }
-    std::uint64_t framesReceived() const { return numRx; }
-    std::uint64_t rxDropped() const { return numRxDropped; }
 
   private:
     void processTx();
@@ -150,11 +141,6 @@ class E1000Nic : public sim::SimObject
 
     TxTap txTap;
     RxTap rxTap;
-
-    std::uint64_t numTx = 0;
-    std::uint64_t numRx = 0;
-    std::uint64_t numRxDropped = 0;
-    std::uint64_t numRxSteered = 0;
 };
 
 } // namespace hw

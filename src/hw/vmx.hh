@@ -102,7 +102,6 @@ class VmxEngine : public sim::SimObject, public ExitSink
     }
 
     const VcpuState &vcpu(unsigned cpu) const { return vcpus.at(cpu); }
-    unsigned numVcpus() const { return unsigned(vcpus.size()); }
     /// @}
 
     /** Record a VM exit of the given class. */

@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "simcore/interval_set.hh"
 #include "simcore/types.hh"
@@ -33,8 +32,6 @@ namespace migrate {
 class DirtyTracker
 {
   public:
-    using Range = sim::IntervalSet::Range; //!< [first, second)
-
     /** @param limitSectors image size; writes at/after it drop. */
     explicit DirtyTracker(sim::Lba limitSectors)
         : limit_(limitSectors)
@@ -61,17 +58,7 @@ class DirtyTracker
     }
     bool empty() const { return set_.empty(); }
 
-    /** Take the current dirty set (ascending runs) and clear it. */
-    std::vector<Range>
-    drain()
-    {
-        std::vector<Range> runs = set_.intervals();
-        set_.clear();
-        return runs;
-    }
-
     void clear() { set_.clear(); }
-    sim::Lba limitSectors() const { return limit_; }
 
   private:
     sim::IntervalSet set_;

@@ -140,8 +140,6 @@ class MigrationManager : public sim::SimObject
 
     void setFaultInjector(sim::FaultInjector *fi) { fi_ = fi; }
 
-    /** The dirty set (wire to Vmm::setGuestWriteHook). */
-    DirtyTracker &tracker() { return tracker_; }
     void
     noteGuestWrite(sim::Lba lba, std::uint32_t count)
     {

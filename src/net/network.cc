@@ -65,7 +65,6 @@ Network::transmit(Port &from, Frame frame)
     sim::Tick start = std::max(now(), from.txFreeAt);
     sim::Tick depart = start + tx_time;
     from.txFreeAt = depart;
-    ++from.numSent;
     from.bytesSent += frame.wireSize();
 
     if (from.cfg.lossProbability > 0.0 &&
@@ -184,7 +183,6 @@ Network::deliverTo(Port &dst, const Frame &frame, sim::Tick depart,
     Frame copy = frame;
     Port *dst_p = &dst;
     eventQueue().scheduleAt(done, [dst_p, f = std::move(copy)]() {
-        ++dst_p->numReceived;
         dst_p->bytesReceived += f.wireSize();
         if (dst_p->rx)
             dst_p->rx(f);

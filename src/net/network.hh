@@ -58,13 +58,6 @@ class Port
     /** Transmit a frame (src is filled in automatically). */
     void send(Frame frame);
 
-    /** Change the loss probability at run time (fault injection). */
-    void setLossProbability(double p) { cfg.lossProbability = p; }
-
-    /** Frames handed to the wire by this port. */
-    std::uint64_t framesSent() const { return numSent; }
-    /** Frames delivered to this port's handler. */
-    std::uint64_t framesReceived() const { return numReceived; }
     /** Frames from this port dropped (loss or oversize). */
     std::uint64_t framesDropped() const { return numDropped; }
     /** Wire bytes (incl. preamble/IFG) transmitted by this port. */
@@ -85,8 +78,6 @@ class Port
 
     sim::Tick txFreeAt = 0;
     sim::Tick rxFreeAt = 0;
-    std::uint64_t numSent = 0;
-    std::uint64_t numReceived = 0;
     std::uint64_t numDropped = 0;
     sim::Bytes bytesSent = 0;
     sim::Bytes bytesReceived = 0;

@@ -110,33 +110,10 @@ Topology::downlinkFrames(unsigned rack) const
 }
 
 sim::Tick
-Topology::uplinkBacklog(unsigned rack, sim::Tick now) const
-{
-    const Link &l = up_.at(rack);
-    return l.freeAt > now ? l.freeAt - now : 0;
-}
-
-sim::Tick
 Topology::downlinkBacklog(unsigned rack, sim::Tick now) const
 {
     const Link &l = down_.at(rack);
     return l.freeAt > now ? l.freeAt - now : 0;
-}
-
-void
-Topology::publish(obs::Registry &reg, const std::string &prefix) const
-{
-    for (unsigned r = 0; r < cfg_.racks; ++r) {
-        std::string rack = "rack" + std::to_string(r);
-        reg.counter(prefix + "link.up_bytes", rack)
-            .set(up_[r].bytes);
-        reg.counter(prefix + "link.up_frames", rack)
-            .set(up_[r].frames);
-        reg.counter(prefix + "link.down_bytes", rack)
-            .set(down_[r].bytes);
-        reg.counter(prefix + "link.down_frames", rack)
-            .set(down_[r].frames);
-    }
 }
 
 } // namespace net

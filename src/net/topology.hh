@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "net/frame.hh"
-#include "obs/registry.hh"
 #include "simcore/types.hh"
 
 namespace net {
@@ -116,14 +115,9 @@ class Topology
     sim::Bytes downlinkBytes(unsigned rack) const;
     std::uint64_t uplinkFrames(unsigned rack) const;
     std::uint64_t downlinkFrames(unsigned rack) const;
-    /** Ticks rack @p rack's up-link is booked beyond @p now
+    /** Ticks rack @p rack's down-link is booked beyond @p now
      *  (0 = idle: full headroom). */
-    sim::Tick uplinkBacklog(unsigned rack, sim::Tick now) const;
     sim::Tick downlinkBacklog(unsigned rack, sim::Tick now) const;
-    /** Snapshot per-link counters into @p reg as
-     *  "<prefix>link.{up,down}_bytes" labeled by rack. */
-    void publish(obs::Registry &reg,
-                 const std::string &prefix = "") const;
     /// @}
 
   private:

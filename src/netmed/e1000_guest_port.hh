@@ -1,6 +1,15 @@
 /**
  * @file
- * GuestPort over the e1000 register file.
+ * The guest-side contract of the mediation tier: one E1000GuestPort
+ * per guest, owning that guest's virtualized e1000 ring-register file
+ * and the machinery to move frames between it and the core.
+ *
+ * The port is passive: it never touches the physical NIC. The core
+ * drives it — pulling queued TX frames (peekTxWire/takeTx, so QoS can
+ * inspect a frame's wire cost before committing to it), pushing RX
+ * frames (deliverRx), and posting interrupt causes. The port calls
+ * back into the core only through the two hooks, from intercepted
+ * guest accesses.
  *
  * Two window flavours:
  *  - The *real* window: the physical NIC's own MMIO range. Register
@@ -21,18 +30,28 @@
 #ifndef NETMED_E1000_GUEST_PORT_HH
 #define NETMED_E1000_GUEST_PORT_HH
 
+#include <functional>
 #include <string>
 
 #include "hw/interrupts.hh"
 #include "hw/io_bus.hh"
 #include "hw/phys_mem.hh"
-#include "netmed/guest_port.hh"
+#include "net/frame.hh"
 #include "netmed/types.hh"
 
 namespace netmed {
 
-/** e1000-flavoured guest attachment. */
-class E1000GuestPort : public GuestPort, public hw::IoInterceptor
+/** Core-provided callbacks, invoked from guest register accesses. */
+struct GuestPortHooks
+{
+    /** The guest rang its TX doorbell (trap mode only). */
+    std::function<void()> txKick;
+    /** The guest entered its ISR (trap-mode ICR read): sync RX now. */
+    std::function<void()> rxSync;
+};
+
+/** One guest's attachment point. */
+class E1000GuestPort : public hw::IoInterceptor
 {
   public:
     /**
@@ -49,19 +68,40 @@ class E1000GuestPort : public GuestPort, public hw::IoInterceptor
                    MedMode mode, sim::Addr doorbell,
                    hw::InterruptController *intc, unsigned irqVector);
 
-    /** @name GuestPort */
-    /// @{
-    void attach(GuestPortHooks hooks) override;
-    void detach() override;
-    bool syncDoorbell() override;
-    sim::Bytes peekTxWire() override;
-    bool takeTx(net::Frame &frame) override;
-    bool deliverRx(const net::Frame &frame) override;
-    void postTxCause() override;
-    void postRxCause() override;
-    GuestRingState rings() const override;
-    sim::Addr doorbellPage() const override { return dbPage; }
-    /// @}
+    /** Begin virtualizing the guest's register window. */
+    void attach(GuestPortHooks hooks);
+
+    /** Stop virtualizing (de-virtualization or teardown). */
+    void detach();
+
+    /**
+     * Exitless mode: fold the doorbell page into the virtual register
+     * state. @return true if the TX tail moved (work to pump).
+     */
+    bool syncDoorbell();
+
+    /**
+     * Wire size of the next queued TX frame, 0 when none. The frame
+     * stays queued until takeTx() — QoS admission happens in between.
+     */
+    sim::Bytes peekTxWire();
+
+    /** Dequeue the next TX frame and complete its guest descriptor. */
+    bool takeTx(net::Frame &frame);
+
+    /** Copy @p frame into the guest's RX ring; false = not ready. */
+    bool deliverRx(const net::Frame &frame);
+
+    /** Post TX-done / RX interrupt causes toward the guest. */
+    void postTxCause();
+    void postRxCause();
+
+    /** Snapshot of the virtual register file (for
+     *  E1000RingPort::release). */
+    GuestRingState rings() const;
+
+    /** Exitless doorbell page address (0 = trapped doorbells). */
+    sim::Addr doorbellPage() const { return dbPage; }
 
     /** @name hw::IoInterceptor (guest register accesses) */
     /// @{
@@ -70,8 +110,6 @@ class E1000GuestPort : public GuestPort, public hw::IoInterceptor
     bool interceptWrite(sim::Addr addr, std::uint64_t value,
                         unsigned size) override;
     /// @}
-
-    sim::Addr windowBase() const { return base; }
 
   private:
     void postCause(std::uint32_t cause);

@@ -107,18 +107,15 @@ E1000RingPort::release(const GuestRingState &g)
     vmmView.write(IoSpace::Mmio, base + kIms, g.ims, 4);
 }
 
-unsigned
+void
 E1000RingPort::reapTx()
 {
-    unsigned reaped = 0;
     while (sTxClean != sTxTail) {
         sim::Addr d = sTxRing + sTxClean * kDescSize;
         if (!(mem.read8(d + 12) & kDescDd))
             break;
         sTxClean = (sTxClean + 1) % kShadowSize;
-        ++reaped;
     }
-    return reaped;
 }
 
 unsigned

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "netmed/e1000_guest_port.hh"
-#include "netmed/e1000_ring_port.hh"
-#include "obs/registry.hh"
 #include "simcore/logging.hh"
 
 namespace netmed {
@@ -18,6 +15,20 @@ constexpr sim::Bytes kQuantum = 1522;
 constexpr sim::Tick kDefaultStall = 500 * sim::kUs;
 
 } // namespace
+
+const char *
+medModeName(MedMode mode)
+{
+    switch (mode) {
+      case MedMode::Trap:
+        return "trap";
+      case MedMode::Exitless:
+        return "exitless";
+      case MedMode::Passthrough:
+        return "passthrough";
+    }
+    return "unknown";
+}
 
 NetMediationCore::NetMediationCore(sim::EventQueue &eq,
                                    std::string name, hw::IoBus &bus_,
@@ -112,10 +123,8 @@ NetMediationCore::installTaps()
         }
         ++s.gstats.txFrames;
         s.gstats.txWireBytes += wire;
-        if (ready > tnow) {
+        if (ready > tnow)
             ++stats_.txThrottled;
-            ++s.gstats.txThrottled;
-        }
         ++stats_.guestTx;
         return ready;
     });
@@ -170,7 +179,7 @@ NetMediationCore::uninstall()
     stallUntil = 0;
     drainRx();
     pumpGuests();
-    stats_.txReaped += ringPort->reapTx();
+    ringPort->reapTx();
 
     // Hand the device to the guest on the real window (if any). Its
     // TX tail is set to its *head*: every frame it queued has already
@@ -231,7 +240,7 @@ NetMediationCore::sendFrame(net::Frame frame)
         sim::warn(name(), ": VMM frame dropped (not installed)");
         return;
     }
-    stats_.txReaped += ringPort->reapTx();
+    ringPort->reapTx();
     if (!ringPort->txPush(frame)) {
         sim::warn(name(), ": shadow TX ring full; frame dropped");
         return;
@@ -258,7 +267,6 @@ NetMediationCore::deferTx(Slot &s)
     if (!s.deferred) {
         s.deferred = true;
         ++stats_.txThrottled;
-        ++s.gstats.txThrottled;
     }
     return false;
 }
@@ -294,18 +302,13 @@ NetMediationCore::tryDeliver(unsigned idx, const net::Frame &frame)
     if (faults && faults->anyActive() &&
         faults->shouldFire(sim::FaultSite::NicFrameDrop, idx)) {
         ++stats_.injectedDrops;
-        ++s.gstats.rxDropped;
         return;
     }
-    if (s.port->deliverRx(frame)) {
+    if (s.port->deliverRx(frame)) { // false: guest not ready, dropped
         ++stats_.guestRx;
         ++stats_.copies;
         ++s.gstats.rxFrames;
-        s.gstats.rxWireBytes += frame.wireSize();
         s.rxPosted = true;
-    } else {
-        ++stats_.rxNoBuffer;
-        ++s.gstats.rxDropped;
     }
 }
 
@@ -326,20 +329,15 @@ NetMediationCore::deliver(const net::Frame &frame)
         if (slots_[i].cfg.mac == 0 && catchAll < 0)
             catchAll = static_cast<int>(i);
     }
-    if (catchAll >= 0) {
+    if (catchAll >= 0) // otherwise no guest claims the frame
         tryDeliver(static_cast<unsigned>(catchAll), frame);
-        return;
-    }
-    ++stats_.rxUnmatched;
 }
 
 void
 NetMediationCore::drainRx()
 {
-    std::uint64_t drained = 0;
     net::Frame f;
     while (ringPort->rxPop(f)) {
-        ++drained;
         // Demultiplex: the VMM's ether type (AoE deployment traffic)
         // peels off first; everything else belongs to some guest.
         if (f.etherType == vmmEtherType) {
@@ -356,8 +354,6 @@ NetMediationCore::drainRx()
             s.rxPosted = false;
         }
     }
-    if (drained)
-        rxBatch_.record(drained);
 }
 
 void
@@ -365,8 +361,7 @@ NetMediationCore::pumpGuests()
 {
     if (now() < stallUntil)
         return;
-    stats_.txReaped += ringPort->reapTx();
-    std::uint64_t pumped = 0;
+    ringPort->reapTx();
     // Deficit round robin with a rotation cursor that persists across
     // calls. This is load-bearing: the pump runs on every doorbell and
     // poll, usually with only a slot or two free in the shadow ring —
@@ -398,7 +393,7 @@ NetMediationCore::pumpGuests()
         bool pushed = false;
         while (wire != 0 && s.deficit >= double(wire)) {
             if (ringPort->txFree() == 0) {
-                stats_.txReaped += ringPort->reapTx();
+                ringPort->reapTx();
                 if (ringPort->txFree() == 0)
                     goto done; // backpressure: resume this visit later
             }
@@ -419,7 +414,6 @@ NetMediationCore::pumpGuests()
                 ++stats_.copies;
             }
             s.txPosted = true;
-            ++pumped;
             pushed = true;
             wire = s.port->peekTxWire();
         }
@@ -434,8 +428,6 @@ done:
             s.txPosted = false;
         }
     }
-    if (pumped)
-        txBatch_.record(pumped);
 }
 
 void
@@ -469,7 +461,7 @@ NetMediationCore::poll()
         return; // the taps do the work inline
     std::uint64_t before = stats_.guestRx + stats_.vmmRx +
                            stats_.guestTx;
-    stats_.txReaped += ringPort->reapTx();
+    ringPort->reapTx();
     if (mode_ == MedMode::Exitless) {
         for (Slot &s : slots_)
             s.port->syncDoorbell();
@@ -483,50 +475,18 @@ NetMediationCore::poll()
     }
 }
 
-const NetMedStats &
-NetMediationCore::stats() const
-{
-    if (mode_ == MedMode::Passthrough)
-        stats_.rxSteered = nic_.rxSteered();
-    return stats_;
-}
-
 const GuestStats &
 NetMediationCore::guestStats(unsigned slot) const
 {
     return slots_.at(slot).gstats;
 }
 
-GuestPort &
+E1000GuestPort &
 NetMediationCore::guestPort(unsigned slot)
 {
     sim::panicIfNot(slots_.at(slot).port != nullptr, name(),
                     ": passthrough guests have no port");
     return *slots_.at(slot).port;
-}
-
-void
-NetMediationCore::publish(obs::Registry &reg,
-                          const std::string &label) const
-{
-    publishNetMedStats(reg, label, stats());
-    reg.histogram("netmed.rx_batch", label) = rxBatch_;
-    reg.histogram("netmed.tx_batch", label) = txBatch_;
-    for (unsigned i = 0; i < slots_.size(); ++i) {
-        const GuestStats &gs = slots_[i].gstats;
-        std::string l = label.empty()
-                            ? "guest" + std::to_string(i)
-                            : label + ".guest" + std::to_string(i);
-        reg.counter("netmed.guest.tx_frames", l).set(gs.txFrames);
-        reg.counter("netmed.guest.tx_wire_bytes", l)
-            .set(gs.txWireBytes);
-        reg.counter("netmed.guest.rx_frames", l).set(gs.rxFrames);
-        reg.counter("netmed.guest.rx_wire_bytes", l)
-            .set(gs.rxWireBytes);
-        reg.counter("netmed.guest.tx_throttled", l)
-            .set(gs.txThrottled);
-        reg.counter("netmed.guest.rx_dropped", l).set(gs.rxDropped);
-    }
 }
 
 } // namespace netmed

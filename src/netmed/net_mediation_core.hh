@@ -3,8 +3,9 @@
  * NetMediationCore: the controller-agnostic heart of the shared-NIC
  * mediation tier.
  *
- * One core multiplexes one physical NIC (behind a RingPort) among the
- * VMM and N guests (each behind a GuestPort), in one of three modes:
+ * One core multiplexes one physical NIC (behind an E1000RingPort)
+ * among the VMM and N guests (each behind an E1000GuestPort), in one
+ * of three modes:
  *
  *  - Trap: shadow rings, every doorbell access exits (paper §6).
  *  - Exitless: shadow rings, doorbells in shared memory, a sidecore
@@ -44,8 +45,8 @@
 #include "hw/nic.hh"
 #include "hw/phys_mem.hh"
 #include "net/l2.hh"
-#include "netmed/guest_port.hh"
-#include "netmed/ring_port.hh"
+#include "netmed/e1000_guest_port.hh"
+#include "netmed/e1000_ring_port.hh"
 #include "netmed/types.hh"
 #include "obs/obs.hh"
 #include "simcore/fault_injector.hh"
@@ -92,8 +93,6 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
      *  guest's configuration, drop every intercept. */
     void uninstall();
 
-    bool installed() const { return installed_; }
-
     /** Tear down intercepts without reprogramming (machine death). */
     void powerOff();
 
@@ -118,22 +117,15 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
     void setFaultInjector(sim::FaultInjector *fi) { faults = fi; }
 
     MedMode mode() const { return mode_; }
-    unsigned numGuests() const
-    {
-        return static_cast<unsigned>(slots_.size());
-    }
-    const NetMedStats &stats() const;
+    const NetMedStats &stats() const { return stats_; }
     const GuestStats &guestStats(unsigned slot) const;
-    GuestPort &guestPort(unsigned slot);
-
-    /** Publish counters + service histograms into @p reg. */
-    void publish(obs::Registry &reg, const std::string &label) const;
+    E1000GuestPort &guestPort(unsigned slot);
 
   private:
     struct Slot
     {
         GuestConfig cfg;
-        std::unique_ptr<GuestPort> port; //!< null in passthrough
+        std::unique_ptr<E1000GuestPort> port; //!< null in passthrough
         GuestStats gstats;
         double tokens = 0.0;     //!< token-bucket fill (bytes)
         sim::Tick lastRefill = 0;
@@ -162,7 +154,7 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
     MedMode mode_;
     std::uint16_t vmmEtherType;
 
-    std::unique_ptr<RingPort> ringPort;
+    std::unique_ptr<E1000RingPort> ringPort;
     std::vector<Slot> slots_;
     unsigned rrNext_ = 0; //!< persistent DRR rotation cursor
     bool installed_ = false;
@@ -171,9 +163,7 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
     sim::FaultInjector *faults = nullptr;
     sim::Tick stallUntil = 0;
 
-    mutable NetMedStats stats_;
-    obs::Histogram rxBatch_; //!< frames drained per service
-    obs::Histogram txBatch_; //!< frames pumped per service
+    NetMedStats stats_;
     obs::Track track_;
 };
 

@@ -15,13 +15,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "simcore/types.hh"
-
-namespace obs {
-class Registry;
-}
 
 namespace netmed {
 
@@ -59,7 +54,7 @@ struct GuestQos
     unsigned weight = 1;
 };
 
-/** Tier-wide counters (published at snapshot time). */
+/** Tier-wide counters. */
 struct NetMedStats
 {
     std::uint64_t guestTx = 0;   //!< guest frames copied to the wire
@@ -68,11 +63,7 @@ struct NetMedStats
     std::uint64_t vmmRx = 0;     //!< frames demuxed to the VMM
     std::uint64_t copies = 0;    //!< descriptor/buffer copies
     std::uint64_t polls = 0;     //!< service-loop invocations
-    std::uint64_t txReaped = 0;  //!< shadow TX descriptors reclaimed
-    std::uint64_t rxNoBuffer = 0;  //!< guest not ready; frame dropped
-    std::uint64_t rxUnmatched = 0; //!< no guest claimed the frame
     std::uint64_t txThrottled = 0; //!< sends delayed by QoS
-    std::uint64_t rxSteered = 0;   //!< passthrough RX-tap diversions
     std::uint64_t ringStalls = 0;  //!< injected nic.ring_stall events
     std::uint64_t injectedDrops = 0; //!< injected nic.frame_drop events
 };
@@ -83,14 +74,15 @@ struct GuestStats
     std::uint64_t txFrames = 0;
     std::uint64_t txWireBytes = 0; //!< on-wire bytes (QoS accounting)
     std::uint64_t rxFrames = 0;
-    std::uint64_t rxWireBytes = 0;
-    std::uint64_t txThrottled = 0;
-    std::uint64_t rxDropped = 0;
 };
 
-/** Publish a NetMedStats snapshot under "netmed.*" labelled @p label. */
-void publishNetMedStats(obs::Registry &reg, const std::string &label,
-                        const NetMedStats &s);
+/** A guest's virtualized e1000-style ring-register file. */
+struct GuestRingState
+{
+    std::uint32_t tdbal = 0, tdlen = 0, tdh = 0, tdt = 0;
+    std::uint32_t rdbal = 0, rdlen = 0, rdh = 0, rdt = 0;
+    std::uint32_t rctl = 0, tctl = 0, ims = 0, icr = 0;
+};
 
 } // namespace netmed
 

@@ -117,11 +117,6 @@ class Histogram
      */
     std::uint64_t quantile(double q) const;
 
-    std::uint64_t bucketCount(std::size_t idx) const
-    {
-        return counts_[idx];
-    }
-
   private:
     std::array<std::uint64_t, kNumBuckets> counts_{};
     std::uint64_t count_ = 0;

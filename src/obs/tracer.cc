@@ -41,17 +41,6 @@ Tracer::track(const std::string &name)
     return static_cast<std::uint32_t>(trackNames_.size() - 1);
 }
 
-const char *
-Tracer::intern(const std::string &s)
-{
-    for (const std::string &existing : interned_) {
-        if (existing == s)
-            return existing.c_str();
-    }
-    interned_.push_back(s);
-    return interned_.back().c_str();
-}
-
 const std::string &
 Tracer::trackName(std::uint32_t track) const
 {

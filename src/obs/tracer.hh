@@ -30,7 +30,6 @@
 #define OBS_TRACER_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -101,10 +100,6 @@ class Tracer
 
     /** Intern @p name as a track (Chrome "thread"); idempotent. */
     std::uint32_t track(const std::string &name);
-
-    /** Intern an arbitrary string, returning a pointer that stays
-     *  valid for the tracer's lifetime. */
-    const char *intern(const std::string &s);
 
     const std::string &trackName(std::uint32_t track) const;
     std::size_t numTracks() const { return trackNames_.size(); }
@@ -266,8 +261,6 @@ class Tracer
 
     std::vector<std::string> trackNames_;
     std::vector<std::uint32_t> depth_;
-    /** Interned strings; deque so pointers stay stable. */
-    std::deque<std::string> interned_;
 
     std::vector<Milestone> milestones_;
     std::uint64_t milestonesDropped_ = 0;

@@ -48,12 +48,6 @@ levelFor(const std::string &msg)
 
 } // namespace
 
-LogLevel
-logLevel()
-{
-    return gLevel;
-}
-
 void
 setLogLevel(LogLevel level)
 {

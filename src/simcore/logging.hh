@@ -70,8 +70,7 @@ concat(const Args &...args)
 /** Global verbosity control for warn()/inform(). */
 enum class LogLevel { Quiet, Warn, Inform, Debug };
 
-/** Get/set the process-wide log level (default: Warn). */
-LogLevel logLevel();
+/** Set the process-wide log level (default: Warn). */
 void setLogLevel(LogLevel level);
 
 /**

@@ -105,18 +105,6 @@ Rng::exponential(double mean)
     return -mean * std::log(u);
 }
 
-double
-Rng::normal(double mean, double stddev)
-{
-    double u1 = uniform();
-    double u2 = uniform();
-    if (u1 <= 0.0)
-        u1 = 1e-18;
-    double z = std::sqrt(-2.0 * std::log(u1)) *
-               std::cos(2.0 * M_PI * u2);
-    return mean + stddev * z;
-}
-
 bool
 Rng::chance(double p)
 {
@@ -157,23 +145,6 @@ Rng::zipf(std::uint64_t n, double theta)
     if (idx >= n)
         idx = n - 1;
     return idx;
-}
-
-std::size_t
-Rng::weighted(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights)
-        total += w;
-    panicIfNot(total > 0.0, "weighted pick with non-positive total");
-    double r = uniform() * total;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (r < acc)
-            return i;
-    }
-    return weights.size() - 1;
 }
 
 } // namespace sim

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "simcore/types.hh"
 
@@ -59,9 +58,6 @@ class Rng
     /** Exponential with the given mean. */
     double exponential(double mean);
 
-    /** Normal with the given mean / stddev (Box-Muller). */
-    double normal(double mean, double stddev);
-
     /** Bernoulli trial. */
     bool chance(double p);
 
@@ -70,9 +66,6 @@ class Rng
      * (YCSB-style request popularity).
      */
     std::uint64_t zipf(std::uint64_t n, double theta = 0.99);
-
-    /** Pick a random element index weighted by @p weights. */
-    std::size_t weighted(const std::vector<double> &weights);
 
   private:
     std::uint64_t s[4];

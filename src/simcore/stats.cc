@@ -114,13 +114,6 @@ RateMeter::ratePerSec(Tick now)
     return windowSum / toSeconds(window);
 }
 
-double
-RateMeter::inWindow(Tick now)
-{
-    expire(now);
-    return windowSum;
-}
-
 void
 RateMeter::expire(Tick now)
 {

@@ -59,18 +59,6 @@ void publishKernelCounters(obs::Registry &reg,
                            const std::string &label,
                            const KernelCounters &k);
 
-/** A simple monotonically increasing counter. */
-class Counter
-{
-  public:
-    void inc(std::uint64_t by = 1) { value_ += by; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
 /**
  * Collects samples and reports summary statistics (mean, min, max,
  * percentiles). Samples are kept; intended for up to a few million
@@ -116,9 +104,6 @@ class RateMeter
     /** Events (weighted) per second over the trailing window. */
     double ratePerSec(Tick now);
 
-    /** Total weighted events in the trailing window. */
-    double inWindow(Tick now);
-
   private:
     void expire(Tick now);
 
@@ -152,7 +137,6 @@ class TimeSeries
     void record(Tick when, double value);
 
     const std::vector<Row> &rows() const { return data; }
-    Tick bucketWidth() const { return bucket; }
 
   private:
     Tick bucket;

@@ -79,8 +79,6 @@ class ImageCatalog
     bool verifyDisk(const std::string &name,
                     const hw::DiskStore &disk) const;
 
-    std::size_t imageCount() const { return images_.size(); }
-
     /** Every registered image, by name (digest-sharing walks). */
     const std::map<std::string, ImageDesc> &images() const
     {

@@ -33,8 +33,6 @@ class Lrc : public Code
     }
     unsigned localParities() const override { return prm_.localGroups; }
 
-    /** Data members per local group (k / localGroups). */
-    unsigned groupSize() const { return groupSize_; }
     /** Group index of data member @p i. */
     unsigned groupOf(unsigned i) const { return i / groupSize_; }
     /** Stripe index of group @p j's local parity. */

@@ -1,19 +1,6 @@
 #include "store/ec/plan.hh"
 
-#include <sstream>
-
 namespace store::ec {
-
-const char *
-stepOpName(StepOp op)
-{
-    switch (op) {
-      case StepOp::Fetch: return "fetch";
-      case StepOp::Xor: return "xor";
-      case StepOp::GfCombine: return "gf";
-    }
-    return "?";
-}
 
 std::uint32_t
 Plan::fetchSectors() const
@@ -49,26 +36,6 @@ Plan::fetches() const
         if (s.op == StepOp::Fetch)
             ++n;
     return n;
-}
-
-std::string
-Plan::describe() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-        const PlanStep &s = steps[i];
-        if (i)
-            os << "; ";
-        os << stepOpName(s.op);
-        if (s.op == StepOp::Fetch) {
-            os << " m" << s.member << " " << s.sectors << "s";
-        } else {
-            os << " <-";
-            for (std::uint16_t in : s.inputs)
-                os << " #" << in;
-        }
-    }
-    return os.str();
 }
 
 } // namespace store::ec

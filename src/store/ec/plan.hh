@@ -19,7 +19,6 @@
 #define STORE_EC_PLAN_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "net/frame.hh"
@@ -32,8 +31,6 @@ enum class StepOp : std::uint8_t {
     Xor,       ///< Cheap parity combine (local-group / sub-shard).
     GfCombine, ///< Full Reed–Solomon Galois-field decode.
 };
-
-const char *stepOpName(StepOp op);
 
 struct PlanStep
 {
@@ -65,9 +62,6 @@ struct Plan
     /** Number of fetch steps. */
     std::size_t fetches() const;
     bool degraded() const { return parityUsed > 0; }
-
-    /** One line per step ("fetch m2 128s @02:..", debugging aid). */
-    std::string describe() const;
 };
 
 } // namespace store::ec

@@ -135,7 +135,6 @@ StoreFabric::dropChunk(net::MacAddr mac, const std::string &image,
     // a fetch already in flight still reads correct content.
     peers_.removeChunk(mac, d);
     chunks_.unrefReplica(d);
-    ++stats_.poisonedChunks;
 }
 
 void
@@ -173,27 +172,6 @@ StoreFabric::setFaultInjector(sim::FaultInjector *fi)
     faults_ = fi;
     for (auto &[mac, server] : peerServers_)
         server->setFaultInjector(fi);
-}
-
-void
-publishStoreStats(obs::Registry &reg, const StoreFabric &fabric)
-{
-    const std::string &label = fabric.name();
-    const FabricStats &s = fabric.stats();
-    reg.counter("store.registered_chunks", label)
-        .set(s.registeredChunks);
-    reg.counter("store.released_chunks", label).set(s.releasedChunks);
-    reg.counter("store.poisoned_chunks", label).set(s.poisonedChunks);
-    reg.counter("store.deferred_picks", label).set(s.deferredPicks);
-    reg.counter("store.fallback_picks", label).set(s.fallbackPicks);
-    const ChunkStore &cs = fabric.chunkStore();
-    reg.counter("store.unique_chunks", label).set(cs.uniqueChunks());
-    reg.counter("store.stored_bytes", label).set(cs.storedBytes());
-    reg.counter("store.dedup_hits", label).set(cs.dedupHits());
-    reg.counter("store.peers", label)
-        .set(fabric.peerRegistry().peerCount());
-    reg.counter("store.chunk_registrations", label)
-        .set(fabric.peerRegistry().chunkRegistrations());
 }
 
 } // namespace store

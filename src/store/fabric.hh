@@ -85,11 +85,6 @@ struct FabricStats
 {
     std::uint64_t registeredChunks = 0; //!< noteChunkLanded calls
     std::uint64_t releasedChunks = 0;   //!< returned by nodeReleased
-    std::uint64_t poisonedChunks = 0;   //!< dropped after guest writes
-    /** Background picks that put another node's claimed chunk last,
-     *  and whole-chunk fetches issued on one anyway (ChunkStreamer). */
-    std::uint64_t deferredPicks = 0;
-    std::uint64_t fallbackPicks = 0;
 };
 
 class ChunkStreamer;
@@ -109,7 +104,6 @@ class StoreFabric : public sim::SimObject
                 StoreParams params, std::vector<net::MacAddr> seedMacs);
 
     const StoreParams &params() const { return params_; }
-    ChunkStore &chunks() { return chunks_; }
     const ChunkStore &chunkStore() const { return chunks_; }
     ImageCatalog &catalog() { return catalog_; }
     const ImageCatalog &catalog() const { return catalog_; }
@@ -163,10 +157,6 @@ class StoreFabric : public sim::SimObject
      */
     void nodeReleased(net::MacAddr mac);
 
-    /** Tally a streamer's deferred / fallback background pick. */
-    void noteDeferredPick() { ++stats_.deferredPicks; }
-    void noteFallbackPick() { ++stats_.fallbackPicks; }
-
     /** Is the source at @p mac currently answering? (Unknown MACs
      *  are presumed live seed members.) */
     bool sourceUp(net::MacAddr mac);
@@ -193,9 +183,6 @@ class StoreFabric : public sim::SimObject
 
     obs::Track obsTrack_;
 };
-
-/** Publish fabric + chunk-store counters into a metrics registry. */
-void publishStoreStats(obs::Registry &reg, const StoreFabric &fabric);
 
 } // namespace store
 

@@ -82,7 +82,6 @@ class Placement
     std::size_t rehomedChunks() const { return overrides_.size(); }
 
     unsigned dataShards() const { return code_->dataShards(); }
-    unsigned parityShards() const { return code_->parityMembers(); }
     unsigned stripeWidth() const { return width_; }
 
   private:

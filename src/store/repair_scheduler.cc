@@ -97,7 +97,6 @@ RepairScheduler::enqueueRepairsFor(net::MacAddr dead)
                 continue;
             queue_.push_back(Job{d, sectors, i, false, 0});
             pending_.insert({d, i});
-            ++stats_.jobsQueued;
         }
     }
     pump();
@@ -156,14 +155,12 @@ RepairScheduler::runJob(Job job)
     if (job.member >= stripe.size()) {
         // The code changed under the job (transform shrank the
         // stripe); nothing left to build.
-        ++stats_.jobsDropped;
         release();
         return;
     }
     if (!job.build && fabric_.sourceUp(stripe[job.member])) {
         // The member came back (restart or an earlier rebuild);
         // nothing to repair.
-        ++stats_.jobsDropped;
         release();
         return;
     }
@@ -321,34 +318,10 @@ RepairScheduler::transformTo(ec::CodeKind kind)
                 continue;
             queue_.push_back(Job{d, sectors, b.member, true, 0});
             pending_.insert({d, b.member});
-            ++stats_.jobsQueued;
         }
         ++stats_.transforms;
     }
     pump();
-}
-
-void
-publishRepairStats(obs::Registry &reg, const RepairScheduler &sched)
-{
-    const std::string &label = sched.name();
-    const RepairStats &s = sched.stats();
-    reg.counter("repair.dead_members", label).set(s.deadMembersSeen);
-    reg.counter("repair.jobs_queued", label).set(s.jobsQueued);
-    reg.counter("repair.jobs_completed", label).set(s.jobsCompleted);
-    reg.counter("repair.jobs_dropped", label).set(s.jobsDropped);
-    reg.counter("repair.retries", label).set(s.retries);
-    reg.counter("repair.source_timeouts", label)
-        .set(s.sourceTimeouts);
-    reg.counter("repair.dest_crashes", label).set(s.destCrashes);
-    reg.counter("repair.gate_waits", label).set(s.gateWaits);
-    reg.counter("repair.repaired_bytes", label).set(s.repairedBytes);
-    reg.counter("repair.data_repaired_bytes", label)
-        .set(s.dataRepairedBytes);
-    reg.counter("repair.wire_bytes", label).set(s.wireBytes);
-    reg.counter("repair.transforms", label).set(s.transforms);
-    reg.counter("repair.transform_bytes", label)
-        .set(s.transformBytes);
 }
 
 } // namespace store

@@ -42,13 +42,11 @@
 
 namespace store {
 
-/** Counters the scheduler exposes (see publishRepairStats). */
+/** Counters the scheduler exposes. */
 struct RepairStats
 {
     std::uint64_t deadMembersSeen = 0; //!< up->down probe transitions
-    std::uint64_t jobsQueued = 0;
     std::uint64_t jobsCompleted = 0;
-    std::uint64_t jobsDropped = 0; //!< member recovered before rebuild
     std::uint64_t retries = 0;
     std::uint64_t sourceTimeouts = 0; //!< injected fetch-step losses
     std::uint64_t destCrashes = 0;    //!< injected landing failures
@@ -139,10 +137,6 @@ class RepairScheduler : public sim::SimObject
     RepairStats stats_;
     obs::Track obsTrack_;
 };
-
-/** Publish scheduler counters into a metrics registry. */
-void publishRepairStats(obs::Registry &reg,
-                        const RepairScheduler &sched);
 
 } // namespace store
 

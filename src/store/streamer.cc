@@ -310,10 +310,8 @@ ChunkStreamer::claim(std::size_t idx)
         return; // poisoned: this node will never offer it
     PeerRegistry &reg = fabric_.peers();
     Digest d = fabric_.catalog().digestAt(image_, idx);
-    if (reg.claimedElsewhere(d, self_)) {
+    if (reg.claimedElsewhere(d, self_))
         ++fallbackPicks_;
-        fabric_.noteFallbackPick();
-    }
     reg.claim(d, self_);
 }
 
@@ -324,7 +322,6 @@ ChunkStreamer::claimedElsewhere(sim::Lba lba)
     if (!fabric_.peers().claimedElsewhere(d, self_))
         return false;
     ++deferredPicks_;
-    fabric_.noteDeferredPick();
     return true;
 }
 

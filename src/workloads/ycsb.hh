@@ -72,7 +72,6 @@ class DbInstance : public sim::SimObject
      *  client. */
     void request(bool isRead, std::function<void()> done);
 
-    std::uint64_t opsServed() const { return numOps; }
     const DbParams &params() const { return params_; }
 
   private:
