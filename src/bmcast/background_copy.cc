@@ -165,12 +165,29 @@ BackgroundCopy::retrieverLoop()
     if (fifo.size() >= kCopyFifoDepth)
         return; // writer drains, then re-kicks us
 
-    // Pick the next block to fetch at/after the cursor, wrapping
+    // How many contiguous copy blocks one fetch may span: up to the
+    // FIFO's free room, at most half the FIFO, but only where a fetch
+    // is one sequential AoE stream from the one image server (no
+    // fetch alignment, no rate gate). There the server seeks once
+    // per fetch, and with several nodes interleaving single blocks
+    // nearly every 1 MiB paid a 12 ms seek: spans cut io_during_deploy
+    // time to bare metal by about 24%. On the store path each fetch
+    // already fans out per chunk to page-cached seeds and peers, so
+    // a span saves no seek and only bunches the wave (deploy_storm:
+    // 7-12% more seed bytes, 10x the AoE retransmits); under a rate
+    // gate one 4 MiB booking bursts past serving traffic (abl_fleet's
+    // shaped goodput falls below its 0.90 gate).
+    std::size_t span = 1;
+    if (!fetchAlign && !gate_)
+        span = std::min(kCopyFifoDepth - fifo.size(), kCopyFifoDepth / 2);
+    const sim::Lba maxSectors = span * params.copyBlockSectors;
+
+    // Pick the next range to fetch at/after the cursor, wrapping
     // once; with a pick filter, first among the units it accepts.
     // Nothing left may still mean ranges are queued, not done.
-    auto pick = [this](bool filtered) {
-        auto b = nextToFetch(cursor, imageSectors, filtered);
-        return b ? b : nextToFetch(0, cursor, filtered);
+    auto pick = [this, maxSectors](bool filtered) {
+        auto b = nextToFetch(cursor, imageSectors, filtered, maxSectors);
+        return b ? b : nextToFetch(0, cursor, filtered, maxSectors);
     };
     std::optional<sim::IntervalSet::Range> block;
     if (pickFilter) {
@@ -226,8 +243,8 @@ BackgroundCopy::retrieverLoop()
 }
 
 std::optional<sim::IntervalSet::Range>
-BackgroundCopy::nextToFetch(sim::Lba from, sim::Lba to,
-                            bool filtered) const
+BackgroundCopy::nextToFetch(sim::Lba from, sim::Lba to, bool filtered,
+                            sim::Lba maxSectors) const
 {
     std::optional<sim::IntervalSet::Range> pick;
     if (from >= to)
@@ -248,8 +265,7 @@ BackgroundCopy::nextToFetch(sim::Lba from, sim::Lba to,
                 past = pos >= to;
                 if (past || pos >= ge)
                     return !past;
-                sim::Lba end = std::min<sim::Lba>(
-                    ge, pos + params.copyBlockSectors);
+                sim::Lba end = std::min<sim::Lba>(ge, pos + maxSectors);
                 if (filtered) {
                     for (sim::Lba u = unit_end(pos); u < end;
                          u = unit_end(u)) {
@@ -277,11 +293,20 @@ BackgroundCopy::issueFetch(sim::Lba lba, std::uint32_t count)
               degradeShift = 0;
               if (!running || done)
                   return;
-              forEachTokenRun(lba, tokens,
-                              [this](sim::Lba rl, std::uint32_t rc,
-                                     std::uint64_t rb) {
-                                  fifo.push_back(Block{rl, rc, rb});
-                              });
+              // One FIFO entry per copy block, so a span is paced,
+              // claimed and marked FILLED block by block.
+              forEachTokenRun(
+                  lba, tokens,
+                  [this](sim::Lba rl, std::uint32_t rc,
+                         std::uint64_t rb) {
+                      for (sim::Lba b = rl; b < rl + rc;
+                           b += params.copyBlockSectors) {
+                          auto n = std::min<sim::Lba>(
+                              params.copyBlockSectors, rl + rc - b);
+                          fifo.push_back(Block{
+                              b, static_cast<std::uint32_t>(n), rb});
+                      }
+                  });
               retrieverLoop();
           });
 }

@@ -12,6 +12,11 @@
  *    it sleeps for the suspend interval, otherwise it writes one
  *    block per write interval.
  *
+ * On the single-server path (no fetch alignment, no rate gate) one
+ * fetch spans up to half the FIFO of contiguous blocks, so the
+ * server seeks once per span; the fetched span enters the FIFO as
+ * single blocks.
+ *
  * Blocks are filled from low to high LBA, but copy-on-read data
  * handed over by stashFetched() moves the cursor past the guest's
  * read, so the retriever continues where the guest is reading. The
@@ -154,12 +159,13 @@ class BackgroundCopy : public sim::SimObject
     };
 
     void retrieverLoop();
-    /** The first block starting in [from, to) that is EMPTY and not
-     *  already retrieved, at most one copy block long; @p filtered
-     *  also skips, and ends the block at, units the pick filter
+    /** The first range starting in [from, to) that is EMPTY and not
+     *  already retrieved, at most @p maxSectors long; @p filtered
+     *  also skips, and ends the range at, units the pick filter
      *  rejects. */
     std::optional<sim::IntervalSet::Range>
-    nextToFetch(sim::Lba from, sim::Lba to, bool filtered) const;
+    nextToFetch(sim::Lba from, sim::Lba to, bool filtered,
+                sim::Lba maxSectors) const;
     /** Issue the fetch the retriever picked (after any gate delay). */
     void issueFetch(sim::Lba lba, std::uint32_t count);
     void writerWake();
