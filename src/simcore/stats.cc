@@ -126,16 +126,4 @@ RateMeter::expire(Tick now)
         windowSum = 0.0;
 }
 
-void
-TimeSeries::record(Tick when, double value)
-{
-    Tick start = (when / bucket) * bucket;
-    if (!data.empty() && data.back().bucketStart == start) {
-        data.back().sum += value;
-        data.back().count += 1;
-        return;
-    }
-    data.push_back(Row{start, value, 1});
-}
-
 } // namespace sim

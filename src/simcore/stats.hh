@@ -1,7 +1,7 @@
 /**
  * @file
- * Statistics primitives: counters, distributions, windowed rates and
- * time series. These back both the in-simulation moderation logic
+ * Statistics primitives: kernel counters, distributions and windowed
+ * rates. These back both the in-simulation moderation logic
  * (e.g. guest-I/O frequency measurement) and the benchmark reports.
  */
 
@@ -110,37 +110,6 @@ class RateMeter
     Tick window;
     std::deque<std::pair<Tick, double>> entries;
     double windowSum = 0.0;
-};
-
-/**
- * A (time, value) series for figure reproduction. Values are bucketed:
- * record() accumulates into the bucket containing the timestamp, and
- * rows() reports one row per non-empty bucket.
- */
-class TimeSeries
-{
-  public:
-    struct Row
-    {
-        Tick bucketStart;
-        double sum;
-        std::uint64_t count;
-
-        double mean() const
-        {
-            return count ? sum / static_cast<double>(count) : 0.0;
-        }
-    };
-
-    explicit TimeSeries(Tick bucket = kSec) : bucket(bucket) {}
-
-    void record(Tick when, double value);
-
-    const std::vector<Row> &rows() const { return data; }
-
-  private:
-    Tick bucket;
-    std::vector<Row> data;
 };
 
 } // namespace sim

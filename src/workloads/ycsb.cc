@@ -122,8 +122,7 @@ YcsbClient::YcsbClient(sim::EventQueue &eq, std::string name,
                        DbInstance &db_, YcsbParams params_)
     : sim::SimObject(eq, std::move(name)),
       db(db_), params(params_),
-      rng(sim::Rng::seedFrom(this->name(), params_.seed)),
-      tput(params_.bucket), lat(params_.bucket)
+      rng(sim::Rng::seedFrom(this->name(), params_.seed))
 {
 }
 
@@ -152,8 +151,6 @@ YcsbClient::threadLoop(unsigned id)
         sim::Tick l = now() - issued;
         ++numOps;
         latSum += l;
-        tput.record(now(), 1.0);
-        lat.record(now(), sim::toMicros(l));
         threadLoop(id);
     });
 }

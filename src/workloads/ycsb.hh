@@ -25,7 +25,6 @@
 #include "hw/machine.hh"
 #include "simcore/random.hh"
 #include "simcore/sim_object.hh"
-#include "simcore/stats.hh"
 #include "workloads/cpu_model.hh"
 
 namespace workloads {
@@ -105,8 +104,6 @@ struct YcsbParams
     unsigned threads = 10;
     double readFraction = 0.95;
     sim::Tick duration = 60 * sim::kSec;
-    /** Time-series bucket for the Fig. 5 curves. */
-    sim::Tick bucket = 10 * sim::kSec;
     std::uint64_t seed = 11;
 };
 
@@ -120,10 +117,6 @@ class YcsbClient : public sim::SimObject
     /** Run for the configured duration. */
     void run(std::function<void()> done);
 
-    /** Ops completed per bucket (throughput curve). */
-    const sim::TimeSeries &throughput() const { return tput; }
-    /** Mean latency per bucket (µs). */
-    const sim::TimeSeries &latency() const { return lat; }
     std::uint64_t opsCompleted() const { return numOps; }
     double meanLatencyUs() const;
     double meanThroughputOpsPerSec() const;
@@ -134,8 +127,6 @@ class YcsbClient : public sim::SimObject
     DbInstance &db;
     YcsbParams params;
     sim::Rng rng;
-    sim::TimeSeries tput;
-    sim::TimeSeries lat;
     sim::Tick startedAt = 0;
     sim::Tick endAt = 0;
     unsigned liveThreads = 0;

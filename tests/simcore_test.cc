@@ -278,17 +278,6 @@ TEST(RateMeter, WindowedRate)
     EXPECT_DOUBLE_EQ(m.ratePerSec(1000000), 0.0);
 }
 
-TEST(TimeSeries, Buckets)
-{
-    sim::TimeSeries ts(100);
-    ts.record(10, 1.0);
-    ts.record(20, 3.0);
-    ts.record(150, 5.0);
-    ASSERT_EQ(ts.rows().size(), 2u);
-    EXPECT_DOUBLE_EQ(ts.rows()[0].mean(), 2.0);
-    EXPECT_DOUBLE_EQ(ts.rows()[1].mean(), 5.0);
-}
-
 TEST(Table, RowWidthMismatchPanics)
 {
     sim::Table t({"a", "b"});
