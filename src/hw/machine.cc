@@ -38,16 +38,16 @@ Machine::Machine(sim::EventQueue &eq, MachineConfig config,
     guest_port.mtu = 9000;
     net::Port &gport = lan.attach(guest_mac, guest_port);
     guestNic_ = std::make_unique<E1000Nic>(
-        eq, name() + ".nic0", cfg.guestNicModel, bus_, mem_, gport,
-        kGuestNicMmio, IrqLine(&intc_, kGuestNicIrq));
+        eq, name() + ".nic0", bus_, mem_, gport, kGuestNicMmio,
+        IrqLine(&intc_, kGuestNicIrq));
 
     net::PortConfig mgmt_port;
     mgmt_port.bitsPerSec = nicModelSpeed(cfg.mgmtNicModel);
     mgmt_port.mtu = 9000;
     net::Port &mport = mgmt_lan.attach(mgmt_mac, mgmt_port);
     mgmtNic_ = std::make_unique<E1000Nic>(
-        eq, name() + ".nic1", cfg.mgmtNicModel, bus_, mem_, mport,
-        kMgmtNicMmio, IrqLine(&intc_, kMgmtNicIrq));
+        eq, name() + ".nic1", bus_, mem_, mport, kMgmtNicMmio,
+        IrqLine(&intc_, kMgmtNicIrq));
 
     if (cfg.hasInfiniBand && ib_fabric) {
         hca_ = std::make_unique<IbHca>(

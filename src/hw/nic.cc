@@ -13,10 +13,10 @@ nicModelSpeed(NicModel model)
 }
 
 E1000Nic::E1000Nic(sim::EventQueue &eq, std::string name,
-                   NicModel model, IoBus &bus_, PhysMem &mem_,
-                   net::Port &port, sim::Addr mmio_base, IrqLine irq_)
+                   IoBus &bus_, PhysMem &mem_, net::Port &port,
+                   sim::Addr mmio_base, IrqLine irq_)
     : sim::SimObject(eq, std::move(name)),
-      model_(model), bus(bus_), mem(mem_), port_(port),
+      bus(bus_), mem(mem_), port_(port),
       base(mmio_base), irq(irq_)
 {
     bus.addDevice(IoSpace::Mmio, base, kMmioSize,

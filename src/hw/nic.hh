@@ -4,10 +4,10 @@
  *
  * One register model serves the four adapter families the BMcast
  * prototype wrote drivers for (Intel PRO/1000 and X540, Realtek
- * RTL816x, Broadcom NetXtreme); they differ here only in name and
- * default link speed, mirroring the paper's observation that the
- * minimal send/receive-with-polling driver surface is small and
- * similar across parts.
+ * RTL816x, Broadcom NetXtreme); they differ here only in the link
+ * speed the machine gives the NIC's port (nicModelSpeed), mirroring
+ * the paper's observation that the minimal send/receive-with-polling
+ * driver surface is small and similar across parts.
  *
  * Descriptor rings live in simulated physical memory and are walked
  * by real register-programmed head/tail indices, so both the guest
@@ -80,9 +80,9 @@ constexpr std::uint8_t kRxStEop = 0x02;
 class E1000Nic : public sim::SimObject
 {
   public:
-    E1000Nic(sim::EventQueue &eq, std::string name, NicModel model,
-             IoBus &bus, PhysMem &mem, net::Port &port,
-             sim::Addr mmioBase, IrqLine irq);
+    E1000Nic(sim::EventQueue &eq, std::string name, IoBus &bus,
+             PhysMem &mem, net::Port &port, sim::Addr mmioBase,
+             IrqLine irq);
 
     /** @name Register interface (invoked via the IoBus). */
     /// @{
@@ -90,7 +90,6 @@ class E1000Nic : public sim::SimObject
     void mmioWrite(sim::Addr offset, std::uint64_t value, unsigned size);
     /// @}
 
-    NicModel model() const { return model_; }
     net::Port &port() { return port_; }
     sim::Addr mmioBase() const { return base; }
 
@@ -117,7 +116,6 @@ class E1000Nic : public sim::SimObject
     void onFrame(const net::Frame &frame);
     void raiseIrq(std::uint32_t cause);
 
-    NicModel model_;
     IoBus &bus;
     PhysMem &mem;
     net::Port &port_;
